@@ -12,7 +12,13 @@ import numpy as np
 
 from ..dataset import Dataset
 from .base import ModelSpec, TrainedModel
-from .tree import grow_regression_tree, tree_predict, tree_to_doc, tree_from_doc
+from .tree import (
+    grow_regression_tree,
+    presort,
+    tree_predict,
+    tree_to_doc,
+    tree_from_doc,
+)
 
 __all__ = ["BoostedTreeModel"]
 
@@ -42,12 +48,13 @@ class BoostedTreeModel(TrainedModel):
         trees = []
         loss = _logistic_loss(margin, y)
         curve = [loss]
+        order = presort(X)  # X is the same in every round
         for _ in range(n_trees):
             p = 1.0 / (1.0 + np.exp(-margin))
             g = y - p
             h = np.maximum(p * (1 - p), 1e-12)
-            tree = grow_regression_tree(X, g, h, leaves)
-            step = lr * tree_predict(tree, X)
+            tree, fitted = grow_regression_tree(X, g, h, leaves, order)
+            step = lr * fitted
             # Newton leaves nearly always decrease the loss; halve the
             # contribution in the rare overshoot so the curve stays monotone.
             scale = 1.0

@@ -5,6 +5,24 @@ Trees are stored as nested dicts: internal nodes carry ``feature`` /
 ``threshold`` / ``left`` / ``right``; leaves carry ``value`` (a scalar
 for regression, a class-distribution vector for classification).  Rows
 with feature value <= threshold go left.
+
+Split search works on whole nodes at once:
+
+- The regression tree uses the presorted exact search of SLIQ and of
+  XGBoost's ``exact`` method.  ``presort`` sorts each feature once per
+  boosting fit; a split partitions the node's ``(d, n)`` sorted-index
+  matrix with the row mask, keeping each row's order, so no node sorts
+  again.  ``_best_split`` scores every cut of every feature in one pass.
+- The forest tree draws its ``split_count`` features, takes the node's
+  value block once, draws all thresholds with one ``rng.uniform`` over the
+  non-constant candidates and scores every candidate's Gini gain together,
+  in the style of Extra-Trees.
+
+Both searches reproduce the scalar per-feature / per-candidate search bit
+for bit, and the forest consumes the random stream in the same order, so a
+given seed grows the same trees: ties sort by row index, prefix sums are
+sequential, and the first feature and the first cut win a tied gain.
+``tests/tree_reference.py`` keeps the scalar search as the test oracle.
 """
 
 from __future__ import annotations
@@ -15,6 +33,7 @@ import itertools
 import numpy as np
 
 __all__ = [
+    "presort",
     "grow_regression_tree",
     "grow_random_classification_tree",
     "tree_predict",
@@ -25,92 +44,87 @@ __all__ = [
 _MIN_GAIN = 1e-12
 
 
-def _best_split(X: np.ndarray, g: np.ndarray, rows: np.ndarray):
-    """Exact least-squares split search over all features.
+def presort(X: np.ndarray) -> np.ndarray:
+    """Row indices sorted by each feature, shape (d, n); ties keep row order."""
+    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
 
-    Returns (gain, feature, threshold) or None when no split reduces
-    the squared error.
+
+def _best_split(g: np.ndarray, order: np.ndarray, vs: np.ndarray, g_sum: float):
+    """Exact least-squares split search over all features of one node.
+
+    ``order`` holds the node's rows sorted by each feature, ``vs`` their
+    feature values in that order and ``g_sum`` the node's sum of ``g``.
+    Returns (gain, feature, threshold) or None when no split reduces the
+    squared error.
     """
-    n = rows.size
+    n = order.shape[1]
     if n < 2:
         return None
-    gsub = g[rows]
-    base = gsub.sum() ** 2 / n
-    best = None
-    for f in range(X.shape[1]):
-        v = X[rows, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        gs = gsub[order]
-        cut = np.flatnonzero(vs[1:] > vs[:-1])  # split after position i
-        if cut.size == 0:
-            continue
-        csum = np.cumsum(gs)
-        left_n = cut + 1.0
-        left_s = csum[cut]
-        total = csum[-1]
-        gain = left_s**2 / left_n + (total - left_s) ** 2 / (n - left_n) - base
-        j = int(np.argmax(gain))
-        if gain[j] > _MIN_GAIN and (best is None or gain[j] > best[0]):
-            thr = 0.5 * (vs[cut[j]] + vs[cut[j] + 1])
-            best = (float(gain[j]), f, float(thr))
-    return best
+    base = g_sum**2 / n
+    csum = np.cumsum(g[order], axis=1)
+    cut = np.flatnonzero(vs[:, 1:] > vs[:, :-1])  # split after position i
+    if cut.size == 0:
+        return None
+    f, i = np.divmod(cut, n - 1)
+    left_n = i + 1.0
+    left_s = csum[f, i]
+    gain = left_s**2 / left_n + (csum[f, -1] - left_s) ** 2 / (n - left_n) - base
+    j = int(np.argmax(gain))
+    if not gain[j] > _MIN_GAIN:
+        return None
+    f, i = int(f[j]), i[j]
+    return float(gain[j]), f, float(0.5 * (vs[f, i] + vs[f, i + 1]))
 
 
 def grow_regression_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray,
-                         max_leaves: int) -> dict:
+                         max_leaves: int, order: np.ndarray
+                         ) -> tuple[dict, np.ndarray]:
     """Best-first growth to at most ``max_leaves`` leaves.
 
     The tree structure is fit to ``g`` by least squares; leaf values
     are the Newton step sum(g)/sum(h) over the leaf's rows (pass h = 1
-    for plain mean leaves).
+    for plain mean leaves).  ``order`` is ``presort(X)``.  Returns the
+    tree and each row's leaf value.
     """
-    all_rows = np.arange(len(g))
-
-    def leaf_value(rows):
-        return float(g[rows].sum() / max(h[rows].sum(), 1e-12))
-
-    root = {"value": leaf_value(all_rows), "_rows": all_rows}
+    fitted = np.empty(len(g))
+    goes_left = np.zeros(len(g), dtype=bool)
     heap = []
     counter = itertools.count()  # tie-break: expansion order
 
-    def push(node):
-        split = _best_split(X, g, node["_rows"])
+    def leaf(rows, order, vs):
+        """A leaf over ``rows`` (ascending), queued with its best split."""
+        g_sum = g[rows].sum()
+        fitted[rows] = value = float(g_sum / max(h[rows].sum(), 1e-12))
+        node = {"value": value}
+        split = _best_split(g, order, vs, g_sum)
         if split is not None:
-            heapq.heappush(heap, (-split[0], next(counter), node, split))
+            heapq.heappush(heap, (-split[0], next(counter), node, split, rows, order, vs))
+        return node
 
-    push(root)
+    root = leaf(np.arange(len(g)), order, np.take_along_axis(X.T, order, axis=1))
     leaves = 1
     while heap and leaves < max_leaves:
-        _, _, node, (gain, f, thr) = heapq.heappop(heap)
-        rows = node.pop("_rows")
+        _, _, node, (_, f, thr), rows, order, vs = heapq.heappop(heap)
         mask = X[rows, f] <= thr
-        left_rows, right_rows = rows[mask], rows[~mask]
-        node.pop("value")
-        node["feature"] = f
-        node["threshold"] = thr
-        node["left"] = {"value": leaf_value(left_rows), "_rows": left_rows}
-        node["right"] = {"value": leaf_value(right_rows), "_rows": right_rows}
-        push(node["left"])
-        push(node["right"])
+        goes_left[rows] = mask
+        in_left, d = goes_left[order], len(order)
+        in_right = ~in_left
+        node.clear()
+        node.update(
+            feature=f, threshold=thr,
+            left=leaf(rows[mask], order[in_left].reshape(d, -1),
+                      vs[in_left].reshape(d, -1)),
+            right=leaf(rows[~mask], order[in_right].reshape(d, -1),
+                       vs[in_right].reshape(d, -1)),
+        )
         leaves += 1
-    _strip_rows(root)
-    return root
+    return root, fitted
 
 
-def _strip_rows(node):
-    node.pop("_rows", None)
-    if "left" in node:
-        _strip_rows(node["left"])
-        _strip_rows(node["right"])
-
-
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - (p * p).sum())
+def _gini(counts: np.ndarray) -> np.ndarray:
+    """Gini impurity of each class-count vector along the last axis."""
+    p = counts / counts.sum(axis=-1, keepdims=True)
+    return 1.0 - (p * p).sum(axis=-1)
 
 
 def grow_random_classification_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
@@ -122,39 +136,45 @@ def grow_random_classification_tree(X: np.ndarray, y: np.ndarray, n_classes: int
     """
 
     def build(rows: np.ndarray, depth: int) -> dict:
-        counts = np.bincount(y[rows], minlength=n_classes).astype(float)
+        per_class = np.bincount(y[rows], minlength=n_classes)
+        counts = per_class.astype(float)
         dist = counts / counts.sum()
         if depth >= max_depth or rows.size < 2 or counts.max() == counts.sum():
             return {"value": dist}
-        base = _gini(counts)
         feats = rng.integers(0, X.shape[1], size=split_count)
-        best = None
-        for f in feats:
-            v = X[rows, f]
-            lo, hi = v.min(), v.max()
-            if hi <= lo:
-                continue
-            thr = rng.uniform(lo, hi)
-            mask = v <= thr
-            nl = int(mask.sum())
-            if nl == 0 or nl == rows.size:
-                continue
-            cl = np.bincount(y[rows[mask]], minlength=n_classes).astype(float)
-            cr = counts - cl
-            gain = base - (nl * _gini(cl) + (rows.size - nl) * _gini(cr)) / rows.size
-            if best is None or gain > best[0]:
-                best = (gain, int(f), float(thr), mask)
-        if best is None or best[0] <= _MIN_GAIN:
+        Xr = X[rows]
+        lo, hi = Xr.min(axis=0)[feats], Xr.max(axis=0)[feats]
+        live = hi > lo  # constant candidates draw no threshold
+        if not live.any():
             return {"value": dist}
-        _, f, thr, mask = best
+        feats = feats[live]
+        thr = rng.uniform(lo[live], hi[live])
+        left = Xr[:, feats] <= thr
+        # Rows are grouped by class, so each class is one slice of ``left``.
+        ends = np.cumsum(per_class)
+        cl = np.stack([left[e - k:e].sum(axis=0) for k, e in zip(per_class, ends)],
+                      axis=1)
+        nl = cl.sum(axis=1)
+        m = rows.size
+        ok = np.flatnonzero((nl > 0) & (nl < m))
+        if ok.size == 0:
+            return {"value": dist}
+        cl, nl = cl[ok], nl[ok]
+        gain = _gini(counts) - (nl * _gini(cl) + (m - nl) * _gini(counts - cl)) / m
+        j = int(np.argmax(gain))
+        if not gain[j] > _MIN_GAIN:
+            return {"value": dist}
+        j = ok[j]
+        mask = left[:, j]
         return {
-            "feature": f,
-            "threshold": thr,
+            "feature": int(feats[j]),
+            "threshold": float(thr[j]),
             "left": build(rows[mask], depth + 1),
             "right": build(rows[~mask], depth + 1),
         }
 
-    return build(np.arange(len(y)), 0)
+    # Row order within a node changes no count, extreme or draw.
+    return build(np.argsort(y, kind="stable"), 0)
 
 
 def tree_predict(node: dict, X: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, DataError
-from .models import ModelSpec, fit_model
+from .models import ModelError, ModelSpec, fit_model
 from .ranking import RankedFeatures, project_top_k
 
 __all__ = [
@@ -142,6 +142,12 @@ def cv_accuracy(spec: ModelSpec, train: Dataset, folds: FoldPlan
     return float(np.mean(accs)), accs
 
 
+# What a fit may raise on data it cannot handle.  Anything else is a
+# programming error and must propagate (the CLI exits with 3), not be scored
+# as a losing grid point.
+_FIT_FAILURES = (ModelError, DataError, np.linalg.LinAlgError, FloatingPointError)
+
+
 def sweep_parameters(family: str, grid: dict[str, list], train: Dataset,
                      folds: FoldPlan, seed: int = 0) -> SweepResult:
     """Exhaustive Cartesian sweep; best point by mean validation accuracy,
@@ -157,7 +163,7 @@ def sweep_parameters(family: str, grid: dict[str, list], train: Dataset,
         try:
             mean_acc, fold_accs = cv_accuracy(spec, train, folds)
             note = ""
-        except Exception as exc:  # record the failure, keep sweeping
+        except _FIT_FAILURES as exc:  # record the failure, keep sweeping
             mean_acc, fold_accs, note = 0.0, [], f"fit failed: {exc}"
             warnings.warn(f"{family} grid point {point}: {note}")
         table.append({

@@ -166,6 +166,20 @@ class TestCli:
                      "--hierarchy", str(h), "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_planted_bug_in_fitter_exit_3(self, tmp_path, monkeypatch):
+        from genflow import models
+
+        def buggy_fit(spec, train):
+            raise TypeError("planted bug")
+
+        monkeypatch.setitem(models._BINARY_FITTERS, "logreg", buggy_fit)
+        data = write_toy_csv(tmp_path / "toy.csv")
+        code = main(["--data", str(data), "--label-col", "label",
+                     "--families", "logreg", "--rankers", "fisher",
+                     "--grid-preset", "thin", "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         data = write_toy_csv(tmp_path / "toy.csv")
         outs = []

@@ -10,6 +10,8 @@ from genflow import (
     mutual_information,
     sweep_parameters,
 )
+from genflow import models
+from genflow.models import ModelError
 from genflow.selection import cv_accuracy
 from tests.conftest import make_binary
 
@@ -101,6 +103,36 @@ class TestSweep:
         b = sweep_parameters("decision_forest", grid, ds, plan, seed=11)
         assert a.table == b.table
         assert a.best_spec == b.best_spec
+
+
+def _failing_fitter(exc):
+    def fit(spec, train):
+        raise exc
+    return fit
+
+
+class TestSweepFailures:
+    GRID = {"l2": [1e-6, 1e-3]}
+
+    @pytest.mark.parametrize("exc", [ModelError("no fit"), DataError("empty class"),
+                                     np.linalg.LinAlgError("singular"),
+                                     FloatingPointError("overflow")])
+    def test_fit_failure_scored_zero(self, monkeypatch, exc):
+        monkeypatch.setitem(models._BINARY_FITTERS, "logreg", _failing_fitter(exc))
+        ds = make_binary(n=40)
+        plan = make_interleaved_folds(ds, 4, seed=0)
+        with pytest.warns(UserWarning, match="fit failed"):
+            res = sweep_parameters("logreg", self.GRID, ds, plan)
+        assert [row["mean_accuracy"] for row in res.table] == [0.0, 0.0]
+        assert all(row["note"].startswith("fit failed") for row in res.table)
+
+    @pytest.mark.parametrize("exc", [TypeError("bad operand"), IndexError("out of range")])
+    def test_planted_bug_propagates(self, monkeypatch, exc):
+        monkeypatch.setitem(models._BINARY_FITTERS, "logreg", _failing_fitter(exc))
+        ds = make_binary(n=40)
+        plan = make_interleaved_folds(ds, 4, seed=0)
+        with pytest.raises(type(exc)):
+            sweep_parameters("logreg", self.GRID, ds, plan)
 
 
 class TestDimensionalitySweep:
