@@ -14,6 +14,7 @@ import traceback
 from .dataset import DataError, load_dataset
 from .flow import FlowConfig, load_hierarchy_spec, run_flow
 from .models import ModelError
+from .ranking import RANKING_METHODS
 from .report import emit_bundle
 from .selection import DEFAULT_GRIDS, THIN_GRIDS
 
@@ -49,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="RNG seed (default: GENFLOW_SEED env var, else 0)")
     p.add_argument("--families", default=None,
                    help="comma-separated candidate families (default: all applicable)")
-    p.add_argument("--rankers", default="fisher,mutual_info,chi_squared",
-                   help="comma-separated ranking methods")
+    p.add_argument("--rankers", default=",".join(RANKING_METHODS),
+                   help="comma-separated ranking methods (mrmr also available)")
     p.add_argument("--bin-count", type=int, default=10)
     p.add_argument("--hierarchy", default=None,
                    help="JSON hierarchy file: [{name, positive:[ids], negative:[ids]}]")
@@ -79,24 +80,21 @@ def main(argv=None) -> int:
         data = load_dataset(args.data, args.label_col, na_policy=args.na_policy,
                             delimiter=delimiter)
         hierarchy = load_hierarchy_spec(args.hierarchy) if args.hierarchy else None
-        if hierarchy is not None:
-            hierarchy.validate_for(data.n_classes)
+        config = FlowConfig(
+            train_fraction=args.train_fraction,
+            fold_count=args.fold_count,
+            seed=args.seed,
+            candidate_families=tuple(args.families.split(",")) if args.families else None,
+            grids=THIN_GRIDS if args.grid_preset == "thin" else DEFAULT_GRIDS,
+            ranking_methods=tuple(args.rankers.split(",")),
+            bin_count=args.bin_count,
+            hierarchy=hierarchy,
+            decision3_metric=args.decision3_metric,
+            folds_positional=args.folds_positional,
+        )
     except DataError as exc:
         print(f"genflow: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-
-    config = FlowConfig(
-        train_fraction=args.train_fraction,
-        fold_count=args.fold_count,
-        seed=args.seed,
-        candidate_families=tuple(args.families.split(",")) if args.families else None,
-        grids=THIN_GRIDS if args.grid_preset == "thin" else DEFAULT_GRIDS,
-        ranking_methods=tuple(args.rankers.split(",")),
-        bin_count=args.bin_count,
-        hierarchy=hierarchy,
-        decision3_metric=args.decision3_metric,
-        folds_positional=args.folds_positional,
-    )
 
     try:
         report = run_flow(data, config)

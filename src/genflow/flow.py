@@ -3,6 +3,11 @@ select the best model by cross-validated sweeps, reduce dimensionality,
 decide between flat multi-class and hierarchical binary classification,
 and assemble the final report structure.
 
+Each task (the flat run or one hierarchy level) takes one path: family
+sweep, one ranking pass, dimensionality sweep, whose winning fits give the
+out-of-fold metrics.  Hierarchy levels are binarized on both splits before
+any fit (an empty or one-sided level is a DataError) and scored from there.
+
 Decision 3 (flat vs hierarchical) is evaluated on out-of-fold training
 predictions so that the test split influences nothing before the final
 scoring stage; the test metrics of the chosen route are then reported.
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import Dataset, DataError, SplitPair, stratified_split
+from .dataset import Dataset, DataError, stratified_split
 from .metrics import (
     EvalMetrics,
     averaged_metrics,
@@ -25,15 +30,18 @@ from .metrics import (
 )
 from .models import (
     BINARY_FAMILIES,
+    FAMILY_SCHEMAS,
     MULTICLASS_FAMILIES,
     ModelSpec,
     TrainedModel,
     fit_model,
 )
 from .ranking import (
+    RANKING_METHODS,
     RankedFeatures,
     chi_squared,
     fisher_score,
+    mrmr_rank,
     mutual_information,
     project_top_k,
 )
@@ -76,6 +84,14 @@ COMPLEXITY_ORDER = {
     "neural_net": 4,
 }
 
+# Ranking method -> scorer(train, bin_count); names are looked up per call.
+_RANKERS = {
+    "fisher": lambda train, bins: fisher_score(train),
+    "mutual_info": lambda train, bins: mutual_information(train, bins),
+    "chi_squared": lambda train, bins: chi_squared(train, bins),
+    "mrmr": lambda train, bins: mrmr_rank(train, bins),
+}
+
 
 @dataclass
 class FlowConfig:
@@ -84,11 +100,18 @@ class FlowConfig:
     seed: int = 0
     candidate_families: tuple[str, ...] | None = None  # None = all applicable
     grids: dict = field(default_factory=lambda: DEFAULT_GRIDS)
-    ranking_methods: tuple[str, ...] = ("fisher", "mutual_info", "chi_squared")
+    ranking_methods: tuple[str, ...] = RANKING_METHODS
     bin_count: int = 10
     hierarchy: "HierarchySpec | None" = None
     decision3_metric: str = "recall"  # or "accuracy"
     folds_positional: bool = False
+
+    def __post_init__(self):  # misspelled names fail before the split
+        for kind, names, known in (
+                ("model families", self.candidate_families or (), FAMILY_SCHEMAS),
+                ("ranking methods", self.ranking_methods, _RANKERS)):
+            if unknown := [n for n in names if n not in known]:
+                raise DataError(f"unknown {kind} {unknown}; known: {sorted(known)}")
 
     def to_dict(self) -> dict:
         return {
@@ -173,6 +196,7 @@ class TaskResult:
     sweep: SweepResult
     leaderboard: list[dict]
     dim: DimSweepResult
+    ranking: RankedFeatures  # the ranking of the chosen (method, k)
     chosen_spec: ModelSpec
     cv_metrics: EvalMetrics
     test_metrics: EvalMetrics | None = None
@@ -197,10 +221,6 @@ class FlowReport:
 
 def decision_route(data: Dataset) -> str:
     return "binary" if data.n_classes == 2 else "multiclass"
-
-
-def _round4(x: float) -> float:
-    return round(x, 4)
 
 
 def select_best_model(candidates, train: Dataset, folds: FoldPlan, grids,
@@ -228,7 +248,7 @@ def select_best_model(candidates, train: Dataset, folds: FoldPlan, grids,
             "best_point": dict(result.best_spec.hyperparameters),
             "table": result.table,
         })
-        key = (_round4(result.cv_accuracy), -COMPLEXITY_ORDER[family])
+        key = (round(result.cv_accuracy, 4), -COMPLEXITY_ORDER[family])
         if best is None or key > best[0] or (
             key == best[0] and result.cv_accuracy > best[1].cv_accuracy
         ):
@@ -238,20 +258,16 @@ def select_best_model(candidates, train: Dataset, folds: FoldPlan, grids,
     return best[1], leaderboard
 
 
-def _cv_out_of_fold_metrics(spec: ModelSpec, train: Dataset, folds: FoldPlan
-                            ) -> EvalMetrics:
-    """Pooled out-of-fold predictions -> averaged metrics on the train split."""
-    pred = np.empty(train.n_samples, dtype=int)
-    for fit_rows, val_rows in folds.folds():
-        model = fit_model(spec, train.restrict_rows(fit_rows))
-        pred[val_rows] = model.predict_labels(train.restrict_rows(val_rows))
-    counts = confusion_counts(train.labels, pred, n_classes=train.n_classes)
-    return averaged_metrics(counts)
+def _candidates(config: FlowConfig, default: tuple, extra: tuple = ()) -> list[str]:
+    """The requested families that apply to the route (all of ``default``
+    if none were requested)."""
+    return [f for f in config.candidate_families or default if f in default + extra]
 
 
 def _run_task(name: str, train: Dataset, candidates, config: FlowConfig,
               trail: list[dict]) -> TaskResult:
-    """Decision 2 + dimensionality sweep + out-of-fold metrics for one task."""
+    """Decision 2, one ranking pass and the dimensionality sweep for one
+    task; its out-of-fold metrics pool the sweep's winning fits."""
     folds = make_interleaved_folds(train, config.fold_count, config.seed,
                                    positional=config.folds_positional)
     sweep, leaderboard = select_best_model(candidates, train, folds,
@@ -268,49 +284,35 @@ def _run_task(name: str, train: Dataset, candidates, config: FlowConfig,
                     "cv_accuracy": sweep.cv_accuracy},
     })
     rankings = compute_rankings(train, config)
-    dim = dimensionality_sweep(sweep.best_spec, train, folds, rankings,
-                               method_order=tuple(r.method for r in rankings))
+    dim = dimensionality_sweep(sweep.best_spec, train, folds, rankings)
     trail.append({
         "stage": f"dimensionality:{name}",
         "inputs": {"methods": [r.method for r in rankings]},
         "outcome": {"method": dim.best_method, "k": dim.best_k,
                     "cv_accuracy": dim.cv_accuracy},
     })
-    ranking = next(r for r in rankings if r.method == dim.best_method)
-    reduced = project_top_k(train, ranking, dim.best_k)
-    cv_metrics = _cv_out_of_fold_metrics(sweep.best_spec, reduced, folds)
     return TaskResult(
         name=name,
         sweep=sweep,
         leaderboard=leaderboard,
         dim=dim,
+        ranking=next(r for r in rankings if r.method == dim.best_method),
         chosen_spec=sweep.best_spec,
-        cv_metrics=cv_metrics,
+        cv_metrics=averaged_metrics(confusion_counts(
+            train.labels, dim.oof_labels, n_classes=train.n_classes)),
     )
 
 
 def compute_rankings(train: Dataset, config: FlowConfig) -> list[RankedFeatures]:
-    out = []
-    for method in config.ranking_methods:
-        if method == "fisher":
-            out.append(fisher_score(train))
-        elif method == "mutual_info":
-            out.append(mutual_information(train, config.bin_count))
-        elif method == "chi_squared":
-            out.append(chi_squared(train, config.bin_count))
-        else:
-            raise DataError(f"unknown ranking method {method!r}")
-    return out
+    return [_RANKERS[method](train, config.bin_count)
+            for method in config.ranking_methods]
 
 
-def _final_score(task: TaskResult, train: Dataset, test: Dataset,
-                 config: FlowConfig) -> None:
+def _final_score(task: TaskResult, train: Dataset, test: Dataset) -> None:
     """Fit the chosen configuration on the full training split and score
     the test split.  The only stage that reads test features."""
-    rankings = compute_rankings(train, config)
-    ranking = next(r for r in rankings if r.method == task.dim.best_method)
-    reduced_train = project_top_k(train, ranking, task.dim.best_k)
-    reduced_test = project_top_k(test, ranking, task.dim.best_k)
+    reduced_train = project_top_k(train, task.ranking, task.dim.best_k)
+    reduced_test = project_top_k(test, task.ranking, task.dim.best_k)
     model = fit_model(task.chosen_spec, reduced_train)
     scores = model.predict_scores(reduced_test)
     pred = np.argmax(scores, axis=1)
@@ -355,32 +357,24 @@ def combine_level_metrics(per_level: list[EvalMetrics]) -> dict:
     }
 
 
-def evaluate_hierarchy(spec: HierarchySpec, split: SplitPair,
-                       config: FlowConfig, trail: list[dict],
-                       score_test: bool = True) -> tuple[list[TaskResult], dict, dict]:
-    """Run the full binary pipeline independently per hierarchy level.
+def evaluate_hierarchy(levels: list[tuple[str, Dataset, Dataset]],
+                       config: FlowConfig, trail: list[dict]
+                       ) -> tuple[list[TaskResult], dict]:
+    """Run the binary pipeline independently on each hierarchy level.
 
-    Returns (per-level task results, combined test metrics, combined
-    out-of-fold metrics).  Levels are trained on ground-truth subsets;
-    predictions never cascade between levels.
+    ``levels`` holds the (name, train, test) datasets binarized up front by
+    ``run_flow``; only train is read.  Returns (per-level task results,
+    combined out-of-fold metrics).  Levels are trained on ground-truth
+    subsets; predictions never cascade between levels.
     """
-    spec.validate_for(split.train.n_classes)
-    candidates = config.candidate_families or BINARY_FAMILIES
-    candidates = [f for f in candidates if f in BINARY_FAMILIES]
-    tasks = []
-    for level in spec.levels:
-        train_lv = _binarize_level(split.train, level)
-        task = _run_task(f"hierarchy:{level.name}", train_lv, candidates,
-                         config, trail)
-        if score_test:
-            test_lv = _binarize_level(split.test, level)
-            _final_score(task, train_lv, test_lv, config)
-        tasks.append(task)
-    combined_cv = combine_level_metrics([t.cv_metrics for t in tasks])
-    combined_test = (
-        combine_level_metrics([t.test_metrics for t in tasks]) if score_test else None
-    )
-    return tasks, combined_test, combined_cv
+    candidates = _candidates(config, BINARY_FAMILIES)
+    tasks = [_run_task(f"hierarchy:{name}", train, candidates, config, trail)
+             for name, train, _ in levels]
+    return tasks, combine_level_metrics([t.cv_metrics for t in tasks])
+
+
+def _decision3_value(metrics: EvalMetrics, metric: str) -> float:
+    return metrics.macro_recall if metric == "recall" else metrics.macro_accuracy
 
 
 def decision_hierarchy(flat_metrics: EvalMetrics, baseline: float,
@@ -388,8 +382,7 @@ def decision_hierarchy(flat_metrics: EvalMetrics, baseline: float,
                        metric: str = "recall") -> tuple[str, dict]:
     """Decision 3: keep the flat route iff it beats the randomized
     baseline; otherwise prefer the hierarchy when it scores higher."""
-    flat_value = (flat_metrics.macro_recall if metric == "recall"
-                  else flat_metrics.macro_accuracy)
+    flat_value = _decision3_value(flat_metrics, metric)
     detail = {"metric": metric, "flat": flat_value, "baseline": baseline}
     if flat_value >= baseline:
         detail["reason"] = "flat beats randomized baseline"
@@ -431,30 +424,29 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
         decision_trail=trail,
     )
 
+    # Every hierarchy level is binarized on both splits before any fit.
+    levels = []
+    if config.hierarchy is not None:
+        config.hierarchy.validate_for(data.n_classes)
+        levels = [(lv.name, _binarize_level(split.train, lv),
+                   _binarize_level(split.test, lv)) for lv in config.hierarchy.levels]
     if route == "binary":
-        candidates = config.candidate_families or BINARY_FAMILIES
-        candidates = [f for f in candidates if f in BINARY_FAMILIES]
-        task = _run_task("binary", split.train, candidates, config, trail)
-        _final_score(task, split.train, split.test, config)
+        task = _run_task("binary", split.train, _candidates(config, BINARY_FAMILIES),
+                         config, trail)
+        _final_score(task, split.train, split.test)
         report.flat = task
-        report.route = "binary"
         return report
 
-    candidates = config.candidate_families or MULTICLASS_FAMILIES
-    candidates = [f for f in candidates
-                  if f in MULTICLASS_FAMILIES or f == "ova_logreg"]
+    candidates = _candidates(config, MULTICLASS_FAMILIES, ("ova_logreg",))
     flat = _run_task("multiclass_flat", split.train, candidates, config, trail)
     baseline = randomized_recall(split.train.class_counts())
     report.baseline = baseline
 
     hierarchy_cv = None
     level_tasks: list[TaskResult] = []
-    flat_value = (flat.cv_metrics.macro_recall if config.decision3_metric == "recall"
-                  else flat.cv_metrics.macro_accuracy)
+    flat_value = _decision3_value(flat.cv_metrics, config.decision3_metric)
     if flat_value < baseline and config.hierarchy is not None:
-        level_tasks, _, hierarchy_cv = evaluate_hierarchy(
-            config.hierarchy, split, config, trail, score_test=False
-        )
+        level_tasks, hierarchy_cv = evaluate_hierarchy(levels, config, trail)
     route, detail = decision_hierarchy(flat.cv_metrics, baseline,
                                        hierarchy_cv, config.decision3_metric)
     trail.append({"stage": "decision3", "inputs": {}, "outcome": detail})
@@ -463,13 +455,11 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
     report.route = route
 
     # Final scoring of the chosen route (first stage that reads test data).
-    _final_score(flat, split.train, split.test, config)
+    _final_score(flat, split.train, split.test)
     report.flat = flat
     if route == "multiclass_hierarchical":
-        for level, task in zip(config.hierarchy.levels, level_tasks):
-            train_lv = _binarize_level(split.train, level)
-            test_lv = _binarize_level(split.test, level)
-            _final_score(task, train_lv, test_lv, config)
+        for task, (_, train_lv, test_lv) in zip(level_tasks, levels):
+            _final_score(task, train_lv, test_lv)
         report.levels = level_tasks
         report.combined = combine_level_metrics(
             [t.test_metrics for t in level_tasks]

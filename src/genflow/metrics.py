@@ -119,19 +119,11 @@ def _safe_div(num: float, den: float, flags: list[str], what: str) -> float:
 
 
 def binary_metrics(counts: ConfusionCounts) -> EvalMetrics:
-    """Precision / recall / accuracy with class 1 positive; 0/0 -> 0 + flag."""
+    """Precision / recall / accuracy with class 1 positive; 0/0 -> 0 + flag.
+    For C=2 these are exactly the class-1 entries of ``averaged_metrics``."""
     if counts.n_classes != 2:
         raise ValueError(f"binary_metrics needs C=2, got {counts.n_classes}")
-    flags: list[str] = []
-    tp, tn, fp, fn = counts.tp, counts.tn, counts.fp, counts.fn
-    prec = _safe_div(tp, tp + fp, flags, "precision tp+fp=0")
-    rec = _safe_div(tp, tp + fn, flags, "recall tp+fn=0")
-    acc = _safe_div(tp + tn, counts.total, flags, "accuracy N=0")
-    m = averaged_metrics(counts)
-    m.degenerate_flags = flags + m.degenerate_flags
-    # For C=2 the class-1 entries must equal the direct formulas exactly.
-    m.precision[1], m.recall[1], m.accuracy[1] = prec, rec, acc
-    return m
+    return averaged_metrics(counts)
 
 
 def averaged_metrics(counts: ConfusionCounts) -> EvalMetrics:

@@ -28,6 +28,22 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
+def _dual_system(Xs: np.ndarray, y: np.ndarray, gamma: float, lam: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Dual matrix [[0, y'], [y, Omega + lam I]] and right-hand side [0, 1..1].
+    K and Omega are built before the matrix is allocated (lower peak memory)."""
+    n = len(y)
+    K = rbf_kernel(Xs, Xs, gamma)
+    omega = (y[:, None] * y[None, :]) * K
+    A = np.zeros((n + 1, n + 1))
+    A[0, 1:] = y
+    A[1:, 0] = y
+    A[1:, 1:] = omega + lam * np.eye(n)
+    rhs = np.zeros(n + 1)
+    rhs[1:] = 1.0
+    return A, rhs
+
+
 class LssvmModel(TrainedModel):
     def __init__(self, spec, feature_names, class_names, support, signs,
                  alpha, bias, mu, sd):
@@ -48,16 +64,7 @@ class LssvmModel(TrainedModel):
         sd = train.features.std(axis=0)
         sd[sd == 0] = 1.0
         Xs = (train.features - mu) / sd
-        n = len(y)
-        K = rbf_kernel(Xs, Xs, gamma)
-        omega = (y[:, None] * y[None, :]) * K
-        A = np.zeros((n + 1, n + 1))
-        A[0, 1:] = y
-        A[1:, 0] = y
-        A[1:, 1:] = omega + lam * np.eye(n)
-        rhs = np.zeros(n + 1)
-        rhs[1:] = 1.0
-        sol = np.linalg.solve(A, rhs)
+        sol = np.linalg.solve(*_dual_system(Xs, y, gamma, lam))
         return cls(spec, train.feature_names, train.class_names,
                    Xs, y, sol[1:], sol[0], mu, sd)
 
@@ -75,15 +82,7 @@ class LssvmModel(TrainedModel):
         """Relative residual of the dual linear system at the fitted solution."""
         lam = float(self.spec.param("lambda", 1e-6))
         gamma = float(self.spec.param("kernel_gamma", 1.0 / self.support.shape[1]))
-        n = len(self.alpha)
-        K = rbf_kernel(self.support, self.support, gamma)
-        omega = (self.signs[:, None] * self.signs[None, :]) * K
-        A = np.zeros((n + 1, n + 1))
-        A[0, 1:] = self.signs
-        A[1:, 0] = self.signs
-        A[1:, 1:] = omega + lam * np.eye(n)
-        rhs = np.zeros(n + 1)
-        rhs[1:] = 1.0
+        A, rhs = _dual_system(self.support, self.signs, gamma, lam)
         sol = np.concatenate([[self.bias], self.alpha])
         return float(np.linalg.norm(A @ sol - rhs) / np.linalg.norm(rhs))
 

@@ -27,6 +27,7 @@ __all__ = [
     "RANKING_METHODS",
 ]
 
+# The rankers a run uses unless told otherwise; "mrmr" is opt-in.
 RANKING_METHODS = ("fisher", "mutual_info", "chi_squared")
 
 

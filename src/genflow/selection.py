@@ -28,6 +28,7 @@ __all__ = [
     "sweep_parameters",
     "dimensionality_sweep",
     "cv_accuracy",
+    "cross_validate",
     "DEFAULT_GRIDS",
     "THIN_GRIDS",
 ]
@@ -110,6 +111,8 @@ class DimSweepResult:
     best_k: int
     cv_accuracy: float
     curves: dict[str, list[float]] = field(default_factory=dict)
+    # Pooled out-of-fold labels of the winning (method, k), one per train row.
+    oof_labels: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def make_interleaved_folds(train: Dataset, fold_count: int = 5, seed: int = 0,
@@ -131,14 +134,23 @@ def _resolve_spec(family: str, point: dict, d: int, seed: int) -> ModelSpec:
     return ModelSpec(family, params, seed=seed)
 
 
-def cv_accuracy(spec: ModelSpec, train: Dataset, folds: FoldPlan
-                ) -> tuple[float, list[float]]:
-    """Mean held-out accuracy over folds; argmax labels at threshold 0.5."""
+def cross_validate(spec: ModelSpec, train: Dataset, folds: FoldPlan
+                   ) -> tuple[list[float], np.ndarray]:
+    """Per-fold held-out accuracies and the pooled out-of-fold labels
+    (argmax, so threshold 0.5 for binary tasks)."""
+    pred = np.empty(train.n_samples, dtype=int)
     accs = []
     for fit_rows, val_rows in folds.folds():
         model = fit_model(spec, train.restrict_rows(fit_rows))
-        pred = model.predict_labels(train.restrict_rows(val_rows))
-        accs.append(float(np.mean(pred == train.labels[val_rows])))
+        pred[val_rows] = model.predict_labels(train.restrict_rows(val_rows))
+        accs.append(float(np.mean(pred[val_rows] == train.labels[val_rows])))
+    return accs, pred
+
+
+def cv_accuracy(spec: ModelSpec, train: Dataset, folds: FoldPlan
+                ) -> tuple[float, list[float]]:
+    """Mean held-out accuracy over folds, and the per-fold accuracies."""
+    accs, _ = cross_validate(spec, train, folds)
     return float(np.mean(accs)), accs
 
 
@@ -184,7 +196,7 @@ def dimensionality_sweep(best_spec: ModelSpec, train: Dataset, folds: FoldPlan,
     """Refit the selected spec on top-k subsets for k = 1..d per ranking.
 
     Best (method, k) maximizes mean CV accuracy; ties prefer smaller k,
-    then the earlier-listed method.
+    then the earlier-listed method.  The winner's out-of-fold labels are kept.
     """
     d = train.n_features
     if method_order is None:
@@ -196,11 +208,13 @@ def dimensionality_sweep(best_spec: ModelSpec, train: Dataset, folds: FoldPlan,
         ranking = by_method[method]
         curve = []
         for k in range(1, d + 1):
-            acc, _ = cv_accuracy(best_spec, project_top_k(train, ranking, k), folds)
+            accs, pred = cross_validate(best_spec, project_top_k(train, ranking, k),
+                                        folds)
+            acc = float(np.mean(accs))
             curve.append(acc)
             cand = (acc, -k, -pos)
             if best is None or cand > best:
-                best = cand
+                best, best_pred = cand, pred
         curves[method] = curve
     acc, neg_k, neg_pos = best
     return DimSweepResult(
@@ -208,4 +222,5 @@ def dimensionality_sweep(best_spec: ModelSpec, train: Dataset, folds: FoldPlan,
         best_k=-neg_k,
         cv_accuracy=acc,
         curves=curves,
+        oof_labels=best_pred,
     )
