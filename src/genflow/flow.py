@@ -30,7 +30,7 @@ from .metrics import (
 )
 from .models import (
     BINARY_FAMILIES,
-    FAMILY_SCHEMAS,
+    FAMILIES,
     MULTICLASS_FAMILIES,
     ModelSpec,
     TrainedModel,
@@ -68,21 +68,7 @@ __all__ = [
     "decision_hierarchy",
     "run_flow",
     "load_hierarchy_spec",
-    "COMPLEXITY_ORDER",
 ]
-
-# Simpler families win ties (equal CV accuracy to 4 decimal places).
-COMPLEXITY_ORDER = {
-    "logreg": 0,
-    "multinomial_logreg": 0,
-    "ova_logreg": 0,
-    "lssvm": 1,
-    "ova_svm": 1,
-    "decision_forest": 2,
-    "boosted_tree": 3,
-    "ova_boosted_tree": 3,
-    "neural_net": 4,
-}
 
 # Ranking method -> scorer(train, bin_count); names are looked up per call.
 _RANKERS = {
@@ -108,8 +94,9 @@ class FlowConfig:
 
     def __post_init__(self):  # misspelled names fail before the split
         for kind, names, known in (
-                ("model families", self.candidate_families or (), FAMILY_SCHEMAS),
-                ("ranking methods", self.ranking_methods, _RANKERS)):
+                ("model families", self.candidate_families or (), FAMILIES),
+                ("ranking methods", self.ranking_methods, _RANKERS),
+                ("Decision 3 metrics", (self.decision3_metric,), ("accuracy", "recall"))):
             if unknown := [n for n in names if n not in known]:
                 raise DataError(f"unknown {kind} {unknown}; known: {sorted(known)}")
 
@@ -230,6 +217,7 @@ def select_best_model(candidates, train: Dataset, folds: FoldPlan, grids,
     Families tied to 4 decimal places resolve by model complexity
     (simpler wins).
     """
+    candidates = list(candidates)  # a generator would be spent before the count below
     if not candidates:
         raise DataError("no candidate families")
     leaderboard = []
@@ -248,12 +236,12 @@ def select_best_model(candidates, train: Dataset, folds: FoldPlan, grids,
             "best_point": dict(result.best_spec.hyperparameters),
             "table": result.table,
         })
-        key = (round(result.cv_accuracy, 4), -COMPLEXITY_ORDER[family])
+        key = (round(result.cv_accuracy, 4), -FAMILIES[family].complexity)
         if best is None or key > best[0] or (
             key == best[0] and result.cv_accuracy > best[1].cv_accuracy
         ):
             best = (key, result)
-    if failures == len(list(candidates)):
+    if failures == len(candidates):
         raise DataError("every candidate family failed to fit")
     return best[1], leaderboard
 

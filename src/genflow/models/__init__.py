@@ -5,22 +5,18 @@ neural_net.  Multi-class families: multinomial_logreg, neural_net,
 decision_forest, ova_boosted_tree, ova_svm (plus ova_logreg for cheap
 pipelines).  Every fitted model scores a dataset into an N x C matrix
 whose rows sum to 1.
+
+``FAMILIES`` holds one record per family: its model class, hyperparameter
+schema, complexity rank and both sweep grids.  ``BINARY_FAMILIES`` and
+``MULTICLASS_FAMILIES`` give each route's sweep order.
 """
 
 from __future__ import annotations
 
-from ..dataset import Dataset, DataError
-from .base import (
-    BINARY_FAMILIES,
-    MULTICLASS_FAMILIES,
-    FAMILY_SCHEMAS,
-    ModelError,
-    ModelSpec,
-    TrainedModel,
-    validate_spec,
-    encode_array,
-    decode_array,
-)
+from dataclasses import dataclass, replace
+
+from ..dataset import Dataset
+from .base import ModelError, ModelSpec, TrainedModel
 from .linear import LogisticRegressionModel, MultinomialLogregModel
 from .lssvm import LssvmModel
 from .boosting import BoostedTreeModel
@@ -32,80 +28,131 @@ __all__ = [
     "ModelSpec",
     "TrainedModel",
     "ModelError",
+    "Family",
+    "FAMILIES",
     "BINARY_FAMILIES",
     "MULTICLASS_FAMILIES",
-    "FAMILY_SCHEMAS",
     "fit_model",
     "fit_one_vs_all",
     "model_from_document",
     "validate_spec",
 ]
 
-_BINARY_FITTERS = {
-    "lssvm": LssvmModel.fit,
-    "logreg": LogisticRegressionModel.fit,
-    "boosted_tree": BoostedTreeModel.fit,
-    "neural_net": NeuralNetModel.fit,
-    "decision_forest": DecisionForestModel.fit,
-}
 
-_OVA_BASE = {
-    "ova_boosted_tree": "boosted_tree",
-    "ova_svm": "lssvm",
-    "ova_logreg": "logreg",
+@dataclass(frozen=True)
+class Family:
+    """Everything the pipeline knows about one model family."""
+
+    model: type[TrainedModel]
+    schema: dict[str, tuple]  # hyperparameter -> (validator, constraint text)
+    complexity: int  # simpler families win ties at equal CV accuracy
+    grid: dict[str, list]
+    thin_grid: dict[str, list]  # one mid point each, for large datasets
+    binary_only: bool = False
+    ova_base: str | None = None  # one-vs-all over this binary family
+
+
+_POSITIVE = (lambda v: v > 0, "> 0")
+_GE_ONE = (lambda v: v >= 1 and float(v).is_integer(), "integer >= 1")
+_GE_TWO = (lambda v: v >= 2 and float(v).is_integer(), "integer >= 2")
+
+# Default grids include every winning value reported for these model
+# families, so the sweep can land on the published optima.  The record
+# order is the order of the report's ``config.grids``.
+FAMILIES: dict[str, Family] = {
+    "boosted_tree": Family(
+        BoostedTreeModel,
+        {"leaves": _GE_TWO, "learning_rate": _POSITIVE, "trees": _GE_ONE},
+        complexity=3,
+        grid={"leaves": [10, 20, 40], "learning_rate": [0.04, 0.1, 0.2],
+              "trees": [50, 100, 200]},
+        thin_grid={"leaves": [20], "learning_rate": [0.2], "trees": [100]},
+        binary_only=True,
+    ),
+    "lssvm": Family(
+        LssvmModel,
+        {"lambda": _POSITIVE, "kernel_gamma": _POSITIVE},
+        complexity=1,
+        # kernel_gamma_scale is multiplied by 1/d at fit time
+        grid={"lambda": [1e-6, 1e-4, 1e-2], "kernel_gamma_scale": [0.1, 1.0, 10.0]},
+        thin_grid={"lambda": [1e-6], "kernel_gamma_scale": [1.0]},
+        binary_only=True,
+    ),
+    "neural_net": Family(
+        NeuralNetModel,
+        {"learning_rate": _POSITIVE, "hidden_nodes": _GE_ONE},
+        complexity=4,
+        grid={"learning_rate": [0.01, 0.04, 0.1], "hidden_nodes": [25, 100]},
+        thin_grid={"learning_rate": [0.04], "hidden_nodes": [25]},
+    ),
+    "decision_forest": Family(
+        DecisionForestModel,
+        {"split_count": _GE_ONE, "depth": _GE_ONE, "ensemble_count": _GE_ONE},
+        complexity=2,
+        grid={"split_count": [128, 1024], "depth": [16, 64], "ensemble_count": [8, 32]},
+        thin_grid={"split_count": [128], "depth": [16], "ensemble_count": [8]},
+    ),
+    "logreg": Family(
+        LogisticRegressionModel, {"l2": _POSITIVE}, complexity=0,
+        grid={"l2": [1e-6]}, thin_grid={"l2": [1e-6]}, binary_only=True,
+    ),
+    "multinomial_logreg": Family(
+        MultinomialLogregModel, {"l2": _POSITIVE}, complexity=0,
+        grid={"l2": [1e-6]}, thin_grid={"l2": [1e-6]},
+    ),
 }
+FAMILIES.update({
+    name: replace(FAMILIES[base], model=OneVsAllModel, binary_only=False, ova_base=base)
+    for name, base in (("ova_logreg", "logreg"), ("ova_boosted_tree", "boosted_tree"),
+                       ("ova_svm", "lssvm"))
+})
+
+BINARY_FAMILIES = ("lssvm", "logreg", "boosted_tree", "decision_forest", "neural_net")
+MULTICLASS_FAMILIES = (
+    "multinomial_logreg",
+    "neural_net",
+    "decision_forest",
+    "ova_boosted_tree",
+    "ova_svm",
+)
+
+
+def validate_spec(family: str, hyperparameters: dict) -> None:
+    if family not in FAMILIES:
+        raise ModelError(f"unknown model family {family!r}")
+    schema = FAMILIES[family].schema
+    for name, value in hyperparameters.items():
+        if name not in schema:
+            raise ModelError(f"{family}: unknown hyperparameter {name!r}")
+        check, desc = schema[name]
+        if not check(value):
+            raise ModelError(f"{family}: {name}={value!r} violates constraint {desc}")
 
 
 def fit_model(spec: ModelSpec, train: Dataset) -> TrainedModel:
     """Fit any family; deterministic given (spec, train)."""
-    family = spec.family
-    if family in _OVA_BASE:
-        return fit_one_vs_all(_OVA_BASE[family], spec.hyperparameters, train,
-                              seed=spec.seed, spec_family=family)
-    if family == "multinomial_logreg":
-        return MultinomialLogregModel.fit(spec, train)
-    if family in ("decision_forest", "neural_net"):
-        return _BINARY_FITTERS[family](spec, train)
-    # Strictly binary families
-    if train.n_classes != 2:
-        raise ModelError(f"{family} requires a binary dataset (C=2), "
+    family = FAMILIES[spec.family]
+    if family.ova_base:
+        return OneVsAllModel.fit(spec, train, family.ova_base, fit_model)
+    if family.binary_only and train.n_classes != 2:
+        raise ModelError(f"{spec.family} requires a binary dataset (C=2), "
                          f"got C={train.n_classes}")
-    return _BINARY_FITTERS[family](spec, train)
+    return family.model.fit(spec, train)
 
 
 def fit_one_vs_all(binary_family: str, hyperparameters: dict, train: Dataset,
-                   seed: int = 0, spec_family: str | None = None) -> OneVsAllModel:
+                   seed: int = 0) -> OneVsAllModel:
     """Train C binary models (class i vs rest) and combine by argmax."""
-    if binary_family not in _BINARY_FITTERS:
-        raise ModelError(f"unknown binary family {binary_family!r}")
-    if spec_family is None:
-        spec_family = {v: k for k, v in _OVA_BASE.items()}.get(
-            binary_family, "ova_" + binary_family
-        )
-    spec = ModelSpec(spec_family, dict(hyperparameters), seed=seed)
-    return OneVsAllModel.fit(spec, train, binary_family,
-                             _BINARY_FITTERS[binary_family])
-
-
-_DESERIALIZERS = {
-    "lssvm": LssvmModel,
-    "logreg": LogisticRegressionModel,
-    "boosted_tree": BoostedTreeModel,
-    "neural_net": NeuralNetModel,
-    "decision_forest": DecisionForestModel,
-    "multinomial_logreg": MultinomialLogregModel,
-}
+    for name, family in FAMILIES.items():
+        if family.ova_base == binary_family:
+            return fit_model(ModelSpec(name, dict(hyperparameters), seed=seed), train)
+    raise ModelError(f"no one-vs-all family over {binary_family!r}")
 
 
 def model_from_document(doc: dict) -> TrainedModel:
     """Inverse of ``TrainedModel.to_document`` (exact float round-trip)."""
-    family = doc["family"]
-    spec = ModelSpec(family, dict(doc["hyperparameters"]), seed=doc.get("seed", 0))
-    names = tuple(doc["feature_names"]), tuple(doc["class_names"])
-    if family in _OVA_BASE:
-        members = [model_from_document(m) for m in doc["parameters"]["members"]]
-        return OneVsAllModel(spec, *names, members)
-    model = _DESERIALIZERS[family].from_payload(
-        spec, *names, doc["parameters"], converged=doc.get("converged", True)
+    spec = ModelSpec(doc["family"], dict(doc["hyperparameters"]), seed=doc.get("seed", 0))
+    return FAMILIES[spec.family].model.from_payload(
+        spec, tuple(doc["feature_names"]), tuple(doc["class_names"]),
+        doc["parameters"], converged=doc.get("converged", True),
     )
-    return model

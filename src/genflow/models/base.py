@@ -12,10 +12,6 @@ __all__ = [
     "ModelSpec",
     "TrainedModel",
     "ModelError",
-    "FAMILY_SCHEMAS",
-    "BINARY_FAMILIES",
-    "MULTICLASS_FAMILIES",
-    "validate_spec",
     "encode_array",
     "decode_array",
 ]
@@ -25,35 +21,9 @@ class ModelError(ValueError):
     pass
 
 
-# name -> (validator, human-readable constraint)
-_POSITIVE = (lambda v: v > 0, "> 0")
-_GE_ONE = (lambda v: v >= 1 and float(v).is_integer(), "integer >= 1")
-_GE_TWO = (lambda v: v >= 2 and float(v).is_integer(), "integer >= 2")
-
-FAMILY_SCHEMAS: dict[str, dict[str, tuple]] = {
-    "lssvm": {"lambda": _POSITIVE, "kernel_gamma": _POSITIVE},
-    "logreg": {"l2": _POSITIVE},
-    "boosted_tree": {"leaves": _GE_TWO, "learning_rate": _POSITIVE, "trees": _GE_ONE},
-    "decision_forest": {"split_count": _GE_ONE, "depth": _GE_ONE, "ensemble_count": _GE_ONE},
-    "neural_net": {"learning_rate": _POSITIVE, "hidden_nodes": _GE_ONE},
-    "multinomial_logreg": {"l2": _POSITIVE},
-    "ova_boosted_tree": {"leaves": _GE_TWO, "learning_rate": _POSITIVE, "trees": _GE_ONE},
-    "ova_svm": {"lambda": _POSITIVE, "kernel_gamma": _POSITIVE},
-    "ova_logreg": {"l2": _POSITIVE},
-}
-
 # L2 ridge for the logistic families is fixed (not swept) so separable
 # data still has a unique optimum.
 DEFAULT_L2 = 1e-6
-
-BINARY_FAMILIES = ("lssvm", "logreg", "boosted_tree", "decision_forest", "neural_net")
-MULTICLASS_FAMILIES = (
-    "multinomial_logreg",
-    "neural_net",
-    "decision_forest",
-    "ova_boosted_tree",
-    "ova_svm",
-)
 
 
 @dataclass(frozen=True)
@@ -65,6 +35,8 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
+        from . import validate_spec  # the registry imports this module
+
         validate_spec(self.family, self.hyperparameters)
 
     def param(self, name: str, default=None):
@@ -72,18 +44,6 @@ class ModelSpec:
 
     def key(self) -> tuple:
         return (self.family, tuple(sorted(self.hyperparameters.items())), self.seed)
-
-
-def validate_spec(family: str, hyperparameters: dict) -> None:
-    if family not in FAMILY_SCHEMAS:
-        raise ModelError(f"unknown model family {family!r}")
-    schema = FAMILY_SCHEMAS[family]
-    for name, value in hyperparameters.items():
-        if name not in schema:
-            raise ModelError(f"{family}: unknown hyperparameter {name!r}")
-        check, desc = schema[name]
-        if not check(value):
-            raise ModelError(f"{family}: {name}={value!r} violates constraint {desc}")
 
 
 class TrainedModel:
@@ -128,9 +88,20 @@ class TrainedModel:
     def predict_labels(self, data: Dataset) -> np.ndarray:
         return np.argmax(self.predict_scores(data), axis=1)
 
-    # Serialization: subclasses supply the learned-parameter payload.
+    # Serialization: the learned parameters are the constructor arguments
+    # named in PAYLOAD, saved as arrays in that order.  Families whose
+    # parameters are not arrays override ``_payload`` and ``from_payload``.
+    PAYLOAD: tuple[str, ...] = ()
+
     def _payload(self) -> dict:
-        raise NotImplementedError
+        return {k: encode_array(getattr(self, k)) for k in self.PAYLOAD}
+
+    @classmethod
+    def from_payload(cls, spec, feature_names, class_names, payload, converged=True):
+        model = cls(spec, feature_names, class_names,
+                    **{k: decode_array(payload[k]) for k in cls.PAYLOAD})
+        model.converged = converged
+        return model
 
     def to_document(self) -> dict:
         return {

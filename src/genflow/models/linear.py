@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import Dataset
-from .base import DEFAULT_L2, ModelSpec, TrainedModel, encode_array, decode_array
+from .base import DEFAULT_L2, ModelSpec, TrainedModel
 
 __all__ = [
     "LogisticRegressionModel",
@@ -70,6 +70,8 @@ def softmax_nll_grad(B: np.ndarray, X: np.ndarray, y: np.ndarray,
 class LogisticRegressionModel(TrainedModel):
     """logit(p) = intercept + weights . x, fit by damped Newton."""
 
+    PAYLOAD = ("intercept", "weights")
+
     def __init__(self, spec, feature_names, class_names, intercept, weights,
                  converged=True):
         super().__init__(spec, feature_names, class_names)
@@ -117,21 +119,12 @@ class LogisticRegressionModel(TrainedModel):
     def _positive_scores(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.intercept + X @ self.weights)
 
-    def _payload(self) -> dict:
-        return {"intercept": encode_array(self.intercept),
-                "weights": encode_array(self.weights)}
-
-    @classmethod
-    def from_payload(cls, spec, feature_names, class_names, payload, converged=True):
-        return cls(spec, feature_names, class_names,
-                   decode_array(payload["intercept"]).item(),
-                   decode_array(payload["weights"]), converged)
-
 
 class MultinomialLogregModel(TrainedModel):
     """Softmax regression: P(class i | x) proportional to exp(B_i . x)."""
 
     is_binary = False
+    PAYLOAD = ("coef",)
 
     def __init__(self, spec, feature_names, class_names, coef, converged=True):
         super().__init__(spec, feature_names, class_names)
@@ -181,11 +174,3 @@ class MultinomialLogregModel(TrainedModel):
         Z -= Z.max(axis=1, keepdims=True)
         E = np.exp(Z)
         return E / E.sum(axis=1, keepdims=True)
-
-    def _payload(self) -> dict:
-        return {"coef": encode_array(self.coef)}
-
-    @classmethod
-    def from_payload(cls, spec, feature_names, class_names, payload, converged=True):
-        return cls(spec, feature_names, class_names,
-                   decode_array(payload["coef"]), converged)

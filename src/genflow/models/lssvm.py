@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import Dataset, encode_sign_labels
-from .base import ModelSpec, TrainedModel, encode_array, decode_array
+from .base import ModelSpec, TrainedModel
 
 __all__ = ["LssvmModel", "rbf_kernel"]
 
@@ -45,6 +45,8 @@ def _dual_system(Xs: np.ndarray, y: np.ndarray, gamma: float, lam: float
 
 
 class LssvmModel(TrainedModel):
+    PAYLOAD = ("support", "signs", "alpha", "bias", "mu", "sd")
+
     def __init__(self, spec, feature_names, class_names, support, signs,
                  alpha, bias, mu, sd):
         super().__init__(spec, feature_names, class_names)
@@ -85,23 +87,3 @@ class LssvmModel(TrainedModel):
         A, rhs = _dual_system(self.support, self.signs, gamma, lam)
         sol = np.concatenate([[self.bias], self.alpha])
         return float(np.linalg.norm(A @ sol - rhs) / np.linalg.norm(rhs))
-
-    def _payload(self) -> dict:
-        return {
-            "support": encode_array(self.support),
-            "signs": encode_array(self.signs),
-            "alpha": encode_array(self.alpha),
-            "bias": encode_array(self.bias),
-            "mu": encode_array(self.mu),
-            "sd": encode_array(self.sd),
-        }
-
-    @classmethod
-    def from_payload(cls, spec, feature_names, class_names, payload, converged=True):
-        return cls(spec, feature_names, class_names,
-                   decode_array(payload["support"]),
-                   decode_array(payload["signs"]),
-                   decode_array(payload["alpha"]),
-                   decode_array(payload["bias"]).item(),
-                   decode_array(payload["mu"]),
-                   decode_array(payload["sd"]))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import Dataset
-from .base import ModelSpec, TrainedModel, encode_array, decode_array
+from .base import ModelSpec, TrainedModel
 
 __all__ = ["NeuralNetModel", "nn_loss_grad"]
 
@@ -50,6 +50,8 @@ def nn_loss_grad(W1, b1, W2, b2, X, y, n_classes):
 
 
 class NeuralNetModel(TrainedModel):
+    PAYLOAD = ("W1", "b1", "W2", "b2", "mu", "sd")
+
     def __init__(self, spec, feature_names, class_names, W1, b1, W2, b2,
                  mu, sd, converged=True):
         super().__init__(spec, feature_names, class_names)
@@ -106,12 +108,3 @@ class NeuralNetModel(TrainedModel):
         Z -= Z.max(axis=1, keepdims=True)
         E = np.exp(Z)
         return E / E.sum(axis=1, keepdims=True)
-
-    def _payload(self) -> dict:
-        return {k: encode_array(getattr(self, k))
-                for k in ("W1", "b1", "W2", "b2", "mu", "sd")}
-
-    @classmethod
-    def from_payload(cls, spec, feature_names, class_names, payload, converged=True):
-        arrs = {k: decode_array(payload[k]) for k in ("W1", "b1", "W2", "b2", "mu", "sd")}
-        return cls(spec, feature_names, class_names, converged=converged, **arrs)

@@ -46,3 +46,10 @@ class OneVsAllModel(TrainedModel):
 
     def _payload(self) -> dict:
         return {"members": [m.to_document() for m in self.members]}
+
+    @classmethod
+    def from_payload(cls, spec, feature_names, class_names, payload, converged=True):
+        from . import model_from_document  # the registry imports this module
+
+        return cls(spec, feature_names, class_names,
+                   [model_from_document(m) for m in payload["members"]])

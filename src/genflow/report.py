@@ -14,7 +14,7 @@ Every number plotted also appears in a curve file.
 from __future__ import annotations
 
 import json
-import time
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +113,8 @@ def emit_report(report: FlowReport, out_dir) -> list[Path]:
     written = []
 
     body = report_body(report)
-    doc = {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"), **body}
+    doc = {"generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+           **body}
     path = out / "report.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
     written.append(path)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, DataError
-from .models import ModelError, ModelSpec, fit_model
+from .models import FAMILIES, ModelError, ModelSpec, fit_model
 from .ranking import RankedFeatures, project_top_k
 
 __all__ = [
@@ -33,46 +33,8 @@ __all__ = [
     "THIN_GRIDS",
 ]
 
-# Default grids include every winning value reported for these model
-# families, so the sweep can land on the published optima.
-DEFAULT_GRIDS: dict[str, dict[str, list]] = {
-    "boosted_tree": {
-        "leaves": [10, 20, 40],
-        "learning_rate": [0.04, 0.1, 0.2],
-        "trees": [50, 100, 200],
-    },
-    "lssvm": {
-        "lambda": [1e-6, 1e-4, 1e-2],
-        "kernel_gamma_scale": [0.1, 1.0, 10.0],  # multiplied by 1/d at fit time
-    },
-    "neural_net": {
-        "learning_rate": [0.01, 0.04, 0.1],
-        "hidden_nodes": [25, 100],
-    },
-    "decision_forest": {
-        "split_count": [128, 1024],
-        "depth": [16, 64],
-        "ensemble_count": [8, 32],
-    },
-    "logreg": {"l2": [1e-6]},
-    "multinomial_logreg": {"l2": [1e-6]},
-    "ova_logreg": {"l2": [1e-6]},
-}
-DEFAULT_GRIDS["ova_boosted_tree"] = DEFAULT_GRIDS["boosted_tree"]
-DEFAULT_GRIDS["ova_svm"] = DEFAULT_GRIDS["lssvm"]
-
-# Thinned grids for large datasets / quick runs (single mid point each).
-THIN_GRIDS: dict[str, dict[str, list]] = {
-    "boosted_tree": {"leaves": [20], "learning_rate": [0.2], "trees": [100]},
-    "lssvm": {"lambda": [1e-6], "kernel_gamma_scale": [1.0]},
-    "neural_net": {"learning_rate": [0.04], "hidden_nodes": [25]},
-    "decision_forest": {"split_count": [128], "depth": [16], "ensemble_count": [8]},
-    "logreg": {"l2": [1e-6]},
-    "multinomial_logreg": {"l2": [1e-6]},
-    "ova_logreg": {"l2": [1e-6]},
-}
-THIN_GRIDS["ova_boosted_tree"] = THIN_GRIDS["boosted_tree"]
-THIN_GRIDS["ova_svm"] = THIN_GRIDS["lssvm"]
+DEFAULT_GRIDS: dict[str, dict[str, list]] = {n: f.grid for n, f in FAMILIES.items()}
+THIN_GRIDS: dict[str, dict[str, list]] = {n: f.thin_grid for n, f in FAMILIES.items()}
 
 
 @dataclass(frozen=True)

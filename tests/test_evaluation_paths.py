@@ -193,6 +193,11 @@ class TestNames:
         with pytest.raises(DataError, match="boosted_tre"):
             FlowConfig(candidate_families=("logreg", "boosted_tre"))
 
+    @pytest.mark.parametrize("metric", ["precision", "acc"])
+    def test_unknown_decision3_metric_rejected_by_config(self, metric):
+        with pytest.raises(DataError, match=metric):
+            FlowConfig(decision3_metric=metric)
+
     def test_one_default_ranker_list(self):
         args = build_parser().parse_args(
             ["--data", "x.csv", "--label-col", "y", "--out", "o"])

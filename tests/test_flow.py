@@ -82,6 +82,15 @@ class TestSelectBestModel:
         with pytest.raises(DataError, match="no candidate"):
             select_best_model((), binary_ds, folds, FAST_GRIDS)
 
+    def test_generator_of_candidates(self):
+        ds = make_binary(n=80, seed=2)
+        folds = make_interleaved_folds(ds, 4, seed=0)
+        sweep, board = select_best_model(
+            (f for f in ["logreg"]), ds, folds, FAST_GRIDS
+        )
+        assert sweep.best_spec.family == "logreg"
+        assert [e["family"] for e in board] == ["logreg"]
+
 
 def metrics_with(recall1, precision1=0.5, accuracy1=0.5, macro_recall=None,
                  macro_accuracy=None):

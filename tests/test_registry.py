@@ -1,0 +1,90 @@
+"""The family registry: every record round-trips, resolves its grids and
+agrees with the route tuples."""
+
+import itertools
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from genflow import Dataset
+from genflow.models import (
+    BINARY_FAMILIES,
+    FAMILIES,
+    MULTICLASS_FAMILIES,
+    ModelError,
+    ModelSpec,
+    fit_model,
+    fit_one_vs_all,
+    model_from_document,
+)
+from genflow.models.ova import OneVsAllModel
+from genflow.selection import _resolve_spec
+
+
+def grid_points(grid):
+    names = list(grid)
+    for values in itertools.product(*(grid[n] for n in names)):
+        yield dict(zip(names, values))
+
+
+def toy(n, d, n_classes, seed):
+    """Every class present; features drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    y = rng.permutation(np.arange(n) % n_classes)
+    X = rng.normal(size=(n, d)) + y[:, None]
+    return Dataset(X, y, tuple(f"f{i}" for i in range(d)),
+                   tuple(f"c{i}" for i in range(n_classes)), "toy")
+
+
+CASES = [(name, c) for name, f in FAMILIES.items()
+         for c in ((2,) if f.binary_only else (2, 3))]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name, n_classes", CASES)
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_document_round_trip(self, name, n_classes, data):
+        family = FAMILIES[name]
+        point = data.draw(st.sampled_from(list(grid_points(family.thin_grid))
+                                          + list(grid_points(family.grid))))
+        d = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(4 * n_classes, 30))
+        seed = data.draw(st.integers(0, 2**16))
+        ds = toy(n, d, n_classes, seed)
+        model = fit_model(_resolve_spec(name, point, d, seed), ds)
+        doc = model.to_document()
+        back = model_from_document(json.loads(json.dumps(doc)))
+        assert back.to_document() == doc
+        np.testing.assert_array_equal(back.predict_scores(ds), model.predict_scores(ds))
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_every_grid_point_resolves(self, name):
+        family = FAMILIES[name]
+        for grid in (family.grid, family.thin_grid):
+            for point in grid_points(grid):
+                spec = _resolve_spec(name, point, 7, seed=0)
+                assert isinstance(spec, ModelSpec) and spec.family == name
+
+    def test_ova_records_share_their_base(self):
+        ova = {n: f for n, f in FAMILIES.items() if f.ova_base}
+        assert sorted(ova) == ["ova_boosted_tree", "ova_logreg", "ova_svm"]
+        for family in ova.values():
+            base = FAMILIES[family.ova_base]
+            assert family.model is OneVsAllModel and not family.binary_only
+            assert not base.ova_base
+            assert (family.schema, family.grid, family.thin_grid, family.complexity) == (
+                base.schema, base.grid, base.thin_grid, base.complexity)
+
+    def test_route_tuples_name_registry_keys(self):
+        assert set(BINARY_FAMILIES) <= set(FAMILIES)
+        assert set(MULTICLASS_FAMILIES) <= set(FAMILIES)
+        assert not [f for f in MULTICLASS_FAMILIES if FAMILIES[f].binary_only]
+
+    def test_one_vs_all_needs_a_record(self):
+        ds = toy(12, 2, 3, seed=0)
+        assert fit_one_vs_all("lssvm", {}, ds).spec.family == "ova_svm"
+        with pytest.raises(ModelError, match="no one-vs-all family over 'neural_net'"):
+            fit_one_vs_all("neural_net", {}, ds)

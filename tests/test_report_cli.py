@@ -1,5 +1,6 @@
 import json
 import re
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -44,6 +45,12 @@ class TestBundle:
             assert entry["table"], "every swept point must be recorded"
             for row in entry["table"]:
                 assert len(row["fold_accuracies"]) == 5
+
+    def test_generated_at_is_utc_with_offset(self, binary_report, tmp_path):
+        emit_bundle(binary_report, tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        stamp = datetime.fromisoformat(doc["generated_at"])
+        assert stamp.utcoffset() == timedelta(0)
 
     def test_dimsweep_csv_matches_curves(self, binary_report, tmp_path):
         emit_bundle(binary_report, tmp_path)
@@ -172,7 +179,7 @@ class TestCli:
         def buggy_fit(spec, train):
             raise TypeError("planted bug")
 
-        monkeypatch.setitem(models._BINARY_FITTERS, "logreg", buggy_fit)
+        monkeypatch.setattr(models.LogisticRegressionModel, "fit", buggy_fit)
         data = write_toy_csv(tmp_path / "toy.csv")
         code = main(["--data", str(data), "--label-col", "label",
                      "--families", "logreg", "--rankers", "fisher",

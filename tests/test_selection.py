@@ -118,7 +118,7 @@ class TestSweepFailures:
                                      np.linalg.LinAlgError("singular"),
                                      FloatingPointError("overflow")])
     def test_fit_failure_scored_zero(self, monkeypatch, exc):
-        monkeypatch.setitem(models._BINARY_FITTERS, "logreg", _failing_fitter(exc))
+        monkeypatch.setattr(models.LogisticRegressionModel, "fit", _failing_fitter(exc))
         ds = make_binary(n=40)
         plan = make_interleaved_folds(ds, 4, seed=0)
         with pytest.warns(UserWarning, match="fit failed"):
@@ -128,7 +128,7 @@ class TestSweepFailures:
 
     @pytest.mark.parametrize("exc", [TypeError("bad operand"), IndexError("out of range")])
     def test_planted_bug_propagates(self, monkeypatch, exc):
-        monkeypatch.setitem(models._BINARY_FITTERS, "logreg", _failing_fitter(exc))
+        monkeypatch.setattr(models.LogisticRegressionModel, "fit", _failing_fitter(exc))
         ds = make_binary(n=40)
         plan = make_interleaved_folds(ds, 4, seed=0)
         with pytest.raises(type(exc)):
