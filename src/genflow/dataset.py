@@ -122,6 +122,15 @@ def _is_number(s: str) -> bool:
         return False
 
 
+def _records(fh, delimiter: str, path):
+    """The file's csv records; undecodable text and csv errors (such as an
+    over-long field) are a DataError."""
+    try:
+        yield from csv.reader(fh, delimiter=delimiter)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: unreadable delimited text: {exc}") from exc
+
+
 def load_dataset(path, label_column, na_policy: str = "fail",
                  delimiter: str = ",") -> Dataset:
     """Load a delimited text file (first row = header) into a Dataset.
@@ -132,12 +141,14 @@ def load_dataset(path, label_column, na_policy: str = "fail",
     """
     if na_policy not in ("fail", "drop_row"):
         raise DataError(f"unknown na_policy: {na_policy!r}")
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise DataError(f"delimiter must be one character, got {delimiter!r}")
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = _records(fh, delimiter, path)
         try:
             header = next(reader)
         except StopIteration:

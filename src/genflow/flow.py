@@ -92,13 +92,15 @@ class FlowConfig:
     decision3_metric: str = "recall"  # or "accuracy"
     folds_positional: bool = False
 
-    def __post_init__(self):  # misspelled names fail before the split
+    def __post_init__(self):  # misspelled names and bad values fail before the split
         for kind, names, known in (
                 ("model families", self.candidate_families or (), FAMILIES),
                 ("ranking methods", self.ranking_methods, _RANKERS),
                 ("Decision 3 metrics", (self.decision3_metric,), ("accuracy", "recall"))):
             if unknown := [n for n in names if n not in known]:
                 raise DataError(f"unknown {kind} {unknown}; known: {sorted(known)}")
+        if self.bin_count < 2:  # the binned rankers need two bins
+            raise DataError(f"bin_count must be >= 2, got {self.bin_count}")
 
     def to_dict(self) -> dict:
         return {

@@ -181,16 +181,18 @@ def roc_and_auc(scores, true_labels, thresholds=None) -> EvalMetrics:
         m.degenerate_flags.append("single-class labels: AUC undefined")
         m.auc = None
         return m
-    points = []
-    for t in grid:
-        pred = s >= t
-        tpr = float((pred & (y == 1)).sum() / pos)
-        fpr = float((pred & (y == 0)).sum() / neg)
-        points.append((fpr, tpr, float(t)))
-    # Descending threshold runs the curve from (0,0) toward (1,1).
-    points.sort(key=lambda q: -q[2])
-    fprs = np.array([0.0] + [q[0] for q in points] + [1.0])
-    tprs = np.array([0.0] + [q[1] for q in points] + [1.0])
+    # Thresholds in descending order run the curve from (0,0) toward (1,1);
+    # np.unique keeps at most one NaN, and the curve lists it last.
+    nan = np.isnan(grid)
+    desc = np.concatenate([grid[~nan][::-1], grid[nan]])
+    # Scores >= t, counted for every t at once; a NaN is never >= anything.
+    pos_s = np.sort(s[(y == 1) & ~np.isnan(s)])
+    neg_s = np.sort(s[(y == 0) & ~np.isnan(s)])
+    tpr = (pos_s.size - np.searchsorted(pos_s, desc, "left")) / pos
+    fpr = (neg_s.size - np.searchsorted(neg_s, desc, "left")) / neg
+    points = list(zip(fpr.tolist(), tpr.tolist(), desc.tolist()))
+    fprs = np.concatenate([[0.0], fpr, [1.0]])
+    tprs = np.concatenate([[0.0], tpr, [1.0]])
     m.roc = points
     m.auc = float(np.trapezoid(tprs, fprs))
     return m

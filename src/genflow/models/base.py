@@ -14,6 +14,7 @@ __all__ = [
     "ModelError",
     "encode_array",
     "decode_array",
+    "row_max",
 ]
 
 
@@ -113,6 +114,19 @@ class TrainedModel:
             "converged": self.converged,
             "parameters": self._payload(),
         }
+
+
+def row_max(Z: np.ndarray) -> np.ndarray:
+    """Row maxima of an N x C matrix, taken one column at a time.
+
+    NumPy's ``Z.max(axis=1)`` is slow on narrow rows.  Maximum is exact,
+    so the values are equal; for C >= 9 the sign of a zero maximum may
+    differ, which no softmax shifted by it can see (exp(+-0) = 1).
+    """
+    m = Z[:, 0].copy()
+    for c in range(1, Z.shape[1]):
+        np.maximum(m, Z[:, c], out=m)
+    return m
 
 
 def encode_array(a: np.ndarray) -> dict:

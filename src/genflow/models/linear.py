@@ -6,12 +6,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import Dataset
-from .base import DEFAULT_L2, ModelSpec, TrainedModel
+from .base import DEFAULT_L2, ModelSpec, TrainedModel, row_max
 
 __all__ = [
     "LogisticRegressionModel",
     "MultinomialLogregModel",
     "logistic_nll_grad",
+    "softmax_grad",
+    "softmax_nll",
     "softmax_nll_grad",
 ]
 
@@ -46,25 +48,46 @@ def logistic_nll_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray,
     return nll, g
 
 
-def softmax_nll_grad(B: np.ndarray, X: np.ndarray, y: np.ndarray,
-                     l2: float) -> tuple[float, np.ndarray]:
-    """Penalized multinomial NLL and gradient.
+def softmax_nll(B: np.ndarray, X: np.ndarray, rows: np.ndarray, y: np.ndarray,
+                l2: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Penalized multinomial NLL, plus the scores ``Z`` and row log-partitions
+    ``logZ`` that :func:`softmax_grad` takes.
 
-    ``B`` is C x (d+1) with column 0 the intercepts (unpenalized).
+    ``B`` is C x (d+1) with column 0 the intercepts (unpenalized);
+    ``rows`` is ``np.arange(len(y))``.
     """
     Z = B[:, 0] + X @ B[:, 1:].T  # N x C
-    Zmax = Z.max(axis=1, keepdims=True)
-    logZ = Zmax[:, 0] + np.log(np.exp(Z - Zmax).sum(axis=1))
-    nll = float(np.sum(logZ - Z[np.arange(len(y)), y]))
+    Zmax = row_max(Z)
+    logZ = Zmax + np.log(np.exp(Z - Zmax[:, None]).sum(axis=1))
+    nll = float(np.sum(logZ - Z[rows, y]))
     nll += 0.5 * l2 * float(np.sum(B[:, 1:] ** 2))
-    P = np.exp(Z - logZ[:, None])
-    Y = np.zeros_like(P)
-    Y[np.arange(len(y)), y] = 1.0
-    D = P - Y
+    return nll, Z, logZ
+
+
+def softmax_grad(B: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
+                 logZ: np.ndarray, l2: float) -> np.ndarray:
+    """Gradient of the penalized NLL at ``B``, from that point's ``Z`` and
+    ``logZ``; ``Y`` is the N x C one-hot label matrix."""
+    D = np.exp(Z - logZ[:, None]) - Y
     G = np.empty_like(B)
     G[:, 0] = D.sum(axis=0)
     G[:, 1:] = D.T @ X + l2 * B[:, 1:]
-    return nll, G
+    return G
+
+
+def _one_hot(y: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    rows = np.arange(len(y))
+    Y = np.zeros((len(y), n_classes))
+    Y[rows, y] = 1.0
+    return rows, Y
+
+
+def softmax_nll_grad(B: np.ndarray, X: np.ndarray, y: np.ndarray,
+                     l2: float) -> tuple[float, np.ndarray]:
+    """Penalized multinomial NLL and its gradient at ``B``."""
+    rows, Y = _one_hot(y, len(B))
+    nll, Z, logZ = softmax_nll(B, X, rows, y, l2)
+    return nll, softmax_grad(B, X, Y, Z, logZ, l2)
 
 
 class LogisticRegressionModel(TrainedModel):
@@ -143,18 +166,21 @@ class MultinomialLogregModel(TrainedModel):
         Xs = (train.features - mu) / sd
         y = train.labels
         B = np.zeros((C, train.n_features + 1))
-        nll, G = softmax_nll_grad(B, Xs, y, l2)
+        rows, Y = _one_hot(y, C)
+        nll, Z, logZ = softmax_nll(B, Xs, rows, y, l2)
+        G = softmax_grad(B, Xs, Y, Z, logZ, l2)
         lr = 1.0 / max(len(y), 1)
         converged = False
         for _ in range(MAX_GD_ITER):
             if np.linalg.norm(G) <= GRAD_TOL:
                 converged = True
                 break
-            # Backtracking on the fixed-direction gradient step.
+            # Backtracking on the fixed-direction gradient step; a rejected
+            # trial needs only its NLL, the accepted one also its gradient.
             t = lr
             for _ in range(40):
                 B_new = B - t * G
-                nll_new, G_new = softmax_nll_grad(B_new, Xs, y, l2)
+                nll_new, Z, logZ = softmax_nll(B_new, Xs, rows, y, l2)
                 if nll_new <= nll:
                     break
                 t *= 0.5
@@ -163,7 +189,8 @@ class MultinomialLogregModel(TrainedModel):
                 break
             if nll - nll_new > 0:
                 lr = min(t * 2.0, 1.0)
-            B, nll, G = B_new, nll_new, G_new
+            B, nll = B_new, nll_new
+            G = softmax_grad(B, Xs, Y, Z, logZ, l2)
         coef = np.empty_like(B)
         coef[:, 1:] = B[:, 1:] / sd
         coef[:, 0] = B[:, 0] - coef[:, 1:] @ mu
@@ -171,6 +198,6 @@ class MultinomialLogregModel(TrainedModel):
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
         Z = self.coef[:, 0] + X @ self.coef[:, 1:].T
-        Z -= Z.max(axis=1, keepdims=True)
+        Z -= row_max(Z)[:, None]
         E = np.exp(Z)
         return E / E.sum(axis=1, keepdims=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import Dataset
-from .base import ModelSpec, TrainedModel
+from .base import ModelSpec, TrainedModel, row_max
 
 __all__ = ["NeuralNetModel", "nn_loss_grad"]
 
@@ -35,7 +35,7 @@ def nn_loss_grad(W1, b1, W2, b2, X, y, n_classes):
         p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
         dZ = (p - y)[:, None]
     else:
-        Zs = Z - Z.max(axis=1, keepdims=True)
+        Zs = Z - row_max(Z)[:, None]
         logZ = np.log(np.exp(Zs).sum(axis=1))
         loss = float(np.sum(logZ - Zs[np.arange(n), y]))
         P = np.exp(Zs - logZ[:, None])
@@ -105,6 +105,6 @@ class NeuralNetModel(TrainedModel):
         if self.W2.shape[1] == 1:
             p = 1.0 / (1.0 + np.exp(-np.clip(Z[:, 0], -500, 500)))
             return np.column_stack([1.0 - p, p])
-        Z -= Z.max(axis=1, keepdims=True)
+        Z -= row_max(Z)[:, None]
         E = np.exp(Z)
         return E / E.sum(axis=1, keepdims=True)

@@ -185,3 +185,69 @@ def test_train_count_round_half_up():
     assert train_count(10, 0.25) == math.floor(2.5 + 0.5) == 3
     assert train_count(444, 0.30) == 133
     assert train_count(239, 0.30) == 72
+
+
+# Byte fragments that make files close to CSV: cells, separators, quotes,
+# line ends, NUL, bytes that are not UTF-8 and numbers that do not parse.
+FRAGMENTS = [b"1", b"2.5", b"-0", b"x", b"nan", b"1e999", b",", b";", b"\t", b'"',
+             b"\n", b"\r\n", b"\r", b"\x00", b"\xff", b"\xc3", b"\xc3\xa9", b" "]
+
+
+@st.composite
+def near_csv_bytes(draw):
+    """A header and rows of two feature cells and a label, some cells not
+    numbers, with up to three fragments spliced in anywhere."""
+    cells = st.sampled_from([b"1", b"2.5", b"-0", b"7", b"x", b"nan", b"1e999", b""])
+    rows = draw(st.lists(st.tuples(cells, cells, st.sampled_from([b"p", b"q", b"3"])),
+                         max_size=12))
+    text = b"\n".join([b"a,b,label"] + [b",".join(r) for r in rows]) + b"\n"
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(FRAGMENTS)) + text[i:]
+    return text
+
+
+class TestLoaderRaisesOnlyDataError:
+    @pytest.mark.filterwarnings("ignore:.*dropped")
+    @settings(max_examples=300, deadline=None)
+    @given(content=near_csv_bytes()
+           | st.lists(st.sampled_from(FRAGMENTS), max_size=60).map(b"".join)
+           | st.binary(max_size=200),
+           label_column=st.sampled_from(["label", "a", 0, -1, "2", "-9"]),
+           na_policy=st.sampled_from(["fail", "drop_row"]),
+           delimiter=st.sampled_from([",", ";", "\t", '"']))
+    def test_arbitrary_bytes_load_or_raise_data_error(self, tmp_path_factory, content,
+                                                      label_column, na_policy, delimiter):
+        path = tmp_path_factory.mktemp("bytes") / "data.csv"
+        path.write_bytes(content)
+        try:
+            data = load_dataset(path, label_column, na_policy=na_policy,
+                                delimiter=delimiter)
+        except DataError:
+            return
+        assert data.n_classes >= 2
+        assert np.all(np.isfinite(data.features))
+
+    def test_non_utf8_byte_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"a,b,label\n1,2,x\n3,\xff4,y\n")
+        self.assert_exit_2(path, [], capsys)
+
+    def test_field_over_csv_limit_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("a,label\n" + "1" * 131073 + ",x\n2,y\n")
+        self.assert_exit_2(path, [], capsys)
+
+    def test_multi_character_delimiter_exit_2(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "data.csv", ["a", "label"], [[1, "x"], [2, "y"]])
+        self.assert_exit_2(path, ["--delimiter", ";;"], capsys)
+
+    @staticmethod
+    def assert_exit_2(path, extra, capsys):
+        from genflow.cli import main
+
+        out = path.parent / "out"
+        assert main(["--data", str(path), "--label-col", "label", "--out", str(out),
+                     *extra]) == 2
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()

@@ -231,3 +231,19 @@ class TestNames:
                  ).read_text().strip().splitlines()
         assert lines[0] == "method,k,mean_cv_accuracy"
         assert len(lines) - 1 == 4  # one row per feature of the toy set
+
+
+class TestBinCount:
+    @pytest.mark.parametrize("bins", [1, 0, -3])
+    def test_rejected_by_config(self, bins):
+        with pytest.raises(DataError, match="bin_count"):
+            FlowConfig(bin_count=bins)
+
+    def test_bin_count_1_exit_2_before_any_fit(self, tmp_path, monkeypatch, capsys):
+        forbid_fits(monkeypatch)
+        data = write_toy_csv(tmp_path / "toy.csv")
+        argv = ["--data", str(data), "--label-col", "label", "--grid-preset", "thin",
+                "--families", "logreg", "--bin-count", "1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "bin_count" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

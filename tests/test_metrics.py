@@ -208,3 +208,62 @@ class TestRandomizedRecall:
             randomized_recall([])
         with pytest.raises(ValueError):
             randomized_recall([0, 0])
+
+
+def roc_oracle(scores, true_labels, thresholds=None):
+    """``roc_and_auc``'s per-threshold loop, kept unchanged as the oracle of
+    its vectorized counts: (roc points, auc)."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(true_labels, dtype=int)
+    if thresholds is None:
+        thresholds = np.linspace(0.0, 1.0, 101)
+    grid = np.unique(np.concatenate([np.asarray(thresholds, dtype=float), s]))
+    pos = int((y == 1).sum())
+    neg = int((y == 0).sum())
+    points = []
+    for t in grid:
+        pred = s >= t
+        tpr = float((pred & (y == 1)).sum() / pos)
+        fpr = float((pred & (y == 0)).sum() / neg)
+        points.append((fpr, tpr, float(t)))
+    points.sort(key=lambda q: -q[2])
+    fprs = np.array([0.0] + [q[0] for q in points] + [1.0])
+    tprs = np.array([0.0] + [q[1] for q in points] + [1.0])
+    return points, float(np.trapezoid(tprs, fprs))
+
+
+def hex_points(points):
+    """Float hex per coordinate: -0.0 differs from 0.0 and NaN equals NaN."""
+    return [tuple(v.hex() for v in p) for p in points]
+
+
+SCORE_VALUES = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
+    [0.0, -0.0, 0.5, 1.0, np.inf, -np.inf, np.nan]))
+
+
+class TestVectorizedRoc:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 120), distinct=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+           specials=st.lists(SCORE_VALUES, max_size=6),
+           thresholds=st.none() | st.lists(SCORE_VALUES, max_size=12),
+           third_label=st.booleans())
+    def test_matches_loop_oracle(self, n, distinct, seed, specials, thresholds, third_label):
+        rng = np.random.default_rng(seed)
+        s = rng.integers(0, distinct, size=n) / distinct  # ties when distinct < n
+        s[rng.choice(n, size=min(len(specials), n), replace=False)] = specials[:n]
+        y = rng.integers(0, 3 if third_label else 2, size=n)
+        y[:2] = [0, 1]
+        m = roc_and_auc(s, y, thresholds)
+        points, auc = roc_oracle(s, y, thresholds)
+        assert hex_points(m.roc) == hex_points(points)
+        assert m.auc.hex() == auc.hex()
+
+    def test_many_distinct_scores(self):
+        rng = np.random.default_rng(7)
+        s = rng.random(5000)
+        y = (s + rng.normal(scale=0.4, size=5000) > 0.6).astype(int)
+        m = roc_and_auc(s, y)
+        points, auc = roc_oracle(s, y)
+        assert len(m.roc) == len(np.unique(np.r_[np.linspace(0, 1, 101), s]))
+        assert m.roc == points
+        assert m.auc == auc
