@@ -6,8 +6,11 @@ features in 1..10 with many ties, about 35% positives, classes overlapping
 so trees grow deep) at 168 and 4000 rows.  Families that fit multi-class
 tasks run on one cross-validation fold of a seeded six-class set (2400 x 5,
 six imbalanced classes A-F): the 30% stratified training split minus its
-first of five interleaved folds, 574 x 5 rows at seed 0.  Each line is the
-median seconds of ``--repeats`` fits.
+first of five interleaved folds, 574 x 5 rows at seed 0.  ``lssvm`` also
+runs on a telescope-shaped fold: 4565 x 10 continuous rows, about 35%
+positives, the fit rows of one of five folds of a 30% split of 19020.
+Each line is the median seconds of ``--repeats`` fits and the traced peak
+memory (``tracemalloc``, MB) of one more fit.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_fits.py
         [--families a,b] [--seed N] [--repeats R]
@@ -16,17 +19,19 @@ median seconds of ``--repeats`` fits.
 import argparse
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
 from genflow import Dataset, make_interleaved_folds, stratified_split
 from genflow.models import (BINARY_FAMILIES, FAMILIES, MULTICLASS_FAMILIES, ModelSpec,
                             fit_model)
-from genflow.selection import THIN_GRIDS
+from genflow.selection import THIN_GRIDS, _resolve_spec
 
 DEFAULT_FAMILIES = "boosted_tree,decision_forest,multinomial_logreg"
 WBC_ROWS = (168, 4000)
 SIX_CLASS_PROPS = np.array([0.049, 0.0018, 0.026, 0.69, 0.13, 0.10])
+TELESCOPE_ROWS = 4565
 
 
 def wbc_shaped(n: int, seed: int) -> Dataset:
@@ -36,6 +41,22 @@ def wbc_shaped(n: int, seed: int) -> Dataset:
     scale = np.where(y, 2.5, 1.5)[:, None]
     X = np.clip(np.rint(rng.normal(loc, scale, size=(n, 9))), 1, 10)
     return Dataset(X, y, tuple(f"f{i}" for i in range(9)), ("2", "4"), f"wbc-{n}")
+
+
+def telescope_fold(seed: int) -> Dataset:
+    rng = np.random.default_rng(seed)
+    y = (rng.random(TELESCOPE_ROWS) < 6688 / 19020).astype(int)
+    X = rng.normal(size=(TELESCOPE_ROWS, 10)) + y[:, None] * np.linspace(0.6, 0.1, 10)
+    return Dataset(X, y, tuple(f"f{i}" for i in range(10)), ("g", "h"), "telescope")
+
+
+def traced_peak_mb(spec: ModelSpec, data: Dataset) -> float:
+    tracemalloc.start()
+    try:
+        fit_model(spec, data)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def six_class_fold(seed: int) -> Dataset:
@@ -66,22 +87,25 @@ def main() -> int:
     families = args.families.split(",")
     if unknown := [f for f in families if f not in FAMILIES]:
         p.error(f"unknown families {unknown}; known: {sorted(FAMILIES)}")
-    shapes = [(f"n={n}", wbc_shaped(n, args.seed)) for n in WBC_ROWS]
+    # (label, data, the families that fit it)
+    shapes = [(f"n={n}", wbc_shaped(n, args.seed), BINARY_FAMILIES) for n in WBC_ROWS]
     six = six_class_fold(args.seed)
-    shapes.append((f"{six.n_samples}x{six.n_features} C={six.n_classes}", six))
-    for label, data in shapes:
+    shapes.append((f"{six.n_samples}x{six.n_features} C={six.n_classes}", six,
+                   MULTICLASS_FAMILIES))
+    shapes.append((f"{TELESCOPE_ROWS}x10", telescope_fold(args.seed), ("lssvm",)))
+    for label, data, fits in shapes:
         for family in families:
-            if family not in (BINARY_FAMILIES if data.n_classes == 2
-                              else MULTICLASS_FAMILIES):
+            if family not in fits:
                 continue
             point = {k: v[0] for k, v in THIN_GRIDS[family].items()}
-            spec = ModelSpec(family, point, seed=args.seed)
+            spec = _resolve_spec(family, point, data.n_features, args.seed)
             times = []
             for _ in range(args.repeats):
                 t0 = time.perf_counter()
                 fit_model(spec, data)
                 times.append(time.perf_counter() - t0)
-            print(f"{family:18s} {label:13s} {point}  {statistics.median(times):.3f} s")
+            print(f"{family:18s} {label:13s} {point}  {statistics.median(times):.3f} s"
+                  f"  {traced_peak_mb(spec, data):.1f} MB")
     return 0
 
 

@@ -16,6 +16,7 @@ scoring stage; the test metrics of the chosen route are then reported.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,6 +37,7 @@ from .models import (
     TrainedModel,
     fit_model,
 )
+from .models.lssvm import peak_bytes as lssvm_peak_bytes
 from .ranking import (
     RANKING_METHODS,
     RankedFeatures,
@@ -390,17 +392,44 @@ def decision_hierarchy(flat_metrics: EvalMetrics, baseline: float,
     return "multiclass_flat", detail
 
 
+def physical_memory_bytes() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _refuse_oversized_kernel(config: FlowConfig, route: str, n_train: int,
+                             n_test: int) -> None:
+    """Refuse, before any fit, a run whose LS-SVM would not fit in memory.
+    The final refit on the whole training split and its test scoring bound
+    every fold and hierarchy-level fit."""
+    candidates = set()
+    if route == "binary" or config.hierarchy is not None:
+        candidates.update(_candidates(config, BINARY_FAMILIES))
+    if route != "binary":
+        candidates.update(_candidates(config, MULTICLASS_FAMILIES, ("ova_logreg",)))
+    if not candidates & {"lssvm", "ova_svm"}:
+        return
+    estimate = lssvm_peak_bytes(n_train, n_test)
+    available = physical_memory_bytes()
+    if estimate > available:
+        raise DataError(
+            f"the LS-SVM families need about {estimate / 2**30:.1f} GiB for "
+            f"{n_train} training and {n_test} test rows, more than the "
+            f"{available / 2**30:.1f} GiB of physical memory; drop lssvm/ova_svm "
+            "from --families or lower --train-fraction")
+
+
 def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
     """Execute the whole pipeline on one dataset."""
     trail: list[dict] = []
     split = stratified_split(data, config.train_fraction, config.seed)
+    route = decision_route(data)
+    _refuse_oversized_kernel(config, route, split.train.n_samples, split.test.n_samples)
     trail.append({
         "stage": "split",
         "inputs": {"train_fraction": config.train_fraction, "seed": config.seed},
         "outcome": {"train_rows": split.train.n_samples,
                     "test_rows": split.test.n_samples},
     })
-    route = decision_route(data)
     trail.append({
         "stage": "decision1",
         "inputs": {"n_classes": data.n_classes},

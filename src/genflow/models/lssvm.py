@@ -6,6 +6,13 @@ coefficient per training row plus a bias.  The decision value is
 sum_j alpha_j y_j K(x, x_j) + bias, squashed to [0,1] by a logistic map
 so thresholding behaves like the probabilistic families.  The squash is
 strictly monotone, so ROC/AUC are unaffected by it.
+
+Memory: the dual matrix is built in place in one (n+1)^2 buffer and
+``np.linalg.solve`` copies it, so a fit on n rows holds about
+2*(n+1)^2*8 bytes; scoring m rows against n support rows holds the m x n
+kernel and one product of that size, about 2*m*n*8 bytes (``peak_bytes``).
+``run_flow`` refuses a job whose estimate exceeds physical memory (CLI
+exit 2).
 """
 
 from __future__ import annotations
@@ -15,33 +22,48 @@ import numpy as np
 from ..dataset import Dataset, encode_sign_labels
 from .base import ModelSpec, TrainedModel
 
-__all__ = ["LssvmModel", "rbf_kernel"]
+__all__ = ["LssvmModel", "peak_bytes", "rbf_kernel"]
 
 
-def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * ||a - b||^2) for every row pair."""
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * A @ B.T
-    )
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """exp(-gamma * ||a - b||^2) for every row pair, written into ``out``
+    (a new array if None).  Two m x n buffers are live at the peak."""
+    G = 2.0 * A @ B.T
+    out = np.add(np.sum(A * A, axis=1)[:, None], np.sum(B * B, axis=1)[None, :],
+                 out=out)
+    np.subtract(out, G, out=out)
+    del G
+    np.maximum(out, 0.0, out=out)
+    np.multiply(-gamma, out, out=out)
+    return np.exp(out, out=out)
 
 
 def _dual_system(Xs: np.ndarray, y: np.ndarray, gamma: float, lam: float
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Dual matrix [[0, y'], [y, Omega + lam I]] and right-hand side [0, 1..1].
-    K and Omega are built before the matrix is allocated (lower peak memory)."""
+    Omega = (y y') * K is built in place inside the matrix; y is +-1, so
+    scaling rows then columns by it is exact."""
     n = len(y)
-    K = rbf_kernel(Xs, Xs, gamma)
-    omega = (y[:, None] * y[None, :]) * K
-    A = np.zeros((n + 1, n + 1))
+    A = np.empty((n + 1, n + 1))
+    A[0, 0] = 0.0
     A[0, 1:] = y
     A[1:, 0] = y
-    A[1:, 1:] = omega + lam * np.eye(n)
+    omega = rbf_kernel(Xs, Xs, gamma, out=A[1:, 1:])
+    omega *= y[:, None]
+    omega *= y[None, :]
+    omega += 0.0  # -0.0 -> +0.0 where K underflowed and y_i y_j = -1
+    diag = np.arange(1, n + 1)
+    A[diag, diag] += lam
     rhs = np.zeros(n + 1)
     rhs[1:] = 1.0
     return A, rhs
+
+
+def peak_bytes(n_fit: int, n_score: int) -> int:
+    """Bytes held at the peak of a fit on ``n_fit`` rows or of scoring
+    ``n_score`` rows against them, whichever is larger."""
+    return 16 * max((n_fit + 1) ** 2, n_score * n_fit)
 
 
 class LssvmModel(TrainedModel):

@@ -254,9 +254,27 @@ class TestVectorizedRoc:
         y = rng.integers(0, 3 if third_label else 2, size=n)
         y[:2] = [0, 1]
         m = roc_and_auc(s, y, thresholds)
-        points, auc = roc_oracle(s, y, thresholds)
+        scored = ~np.isnan(s)  # rows with a NaN score are dropped, then counted
+        assert any("NaN scores dropped" in f for f in m.degenerate_flags) != scored.all()
+        if not ((y[scored] == 0).any() and (y[scored] == 1).any()):
+            assert m.auc is None
+            return
+        points, auc = roc_oracle(s[scored], y[scored], thresholds)
         assert hex_points(m.roc) == hex_points(points)
         assert m.auc.hex() == auc.hex()
+
+    def test_nan_scores_dropped_and_flagged(self):
+        # Kept, the NaN row would run the curve back to (0, 0): AUC 0.75.
+        m = roc_and_auc([0.2, 0.9, 0.8, np.nan], [0, 1, 1, 0])
+        assert m.auc == 1.0
+        assert "NaN scores dropped: 1" in m.degenerate_flags
+        assert all(not np.isnan(t) for _, _, t in m.roc)
+
+    def test_nan_scores_leaving_one_class(self):
+        m = roc_and_auc([np.nan, 0.9, 0.8], [0, 1, 1])
+        assert m.auc is None
+        assert m.degenerate_flags == ["NaN scores dropped: 1",
+                                      "single-class labels: AUC undefined"]
 
     def test_many_distinct_scores(self):
         rng = np.random.default_rng(7)

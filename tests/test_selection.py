@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genflow import (
     DataError,
+    Dataset,
     ModelSpec,
     dimensionality_sweep,
     fisher_score,
@@ -49,6 +51,26 @@ class TestFoldPlan:
         a = make_interleaved_folds(ds, 5, seed=7)
         b = make_interleaved_folds(ds, 5, seed=7)
         assert np.array_equal(a.assignments, b.assignments)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+           positional=st.booleans())
+    def test_partition_property(self, data, n, seed, positional):
+        fold_count = data.draw(st.integers(2, n), label="fold_count")
+        ds = Dataset(np.zeros((n, 1)), np.zeros(n, dtype=int), ("x",), ("a",))
+        plan = make_interleaved_folds(ds, fold_count, seed=seed, positional=positional)
+        validated = np.zeros(n, dtype=int)
+        sizes = []
+        for fit_rows, val_rows in plan.folds():
+            assert val_rows.size > 0
+            assert np.intersect1d(fit_rows, val_rows).size == 0
+            assert np.array_equal(np.sort(np.concatenate([fit_rows, val_rows])),
+                                  np.arange(n))
+            validated[val_rows] += 1
+            sizes.append(val_rows.size)
+        assert len(sizes) == fold_count
+        assert (validated == 1).all()
+        assert max(sizes) - min(sizes) <= 1
 
 
 class TestSweep:
