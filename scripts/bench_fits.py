@@ -9,8 +9,9 @@ six imbalanced classes A-F): the 30% stratified training split minus its
 first of five interleaved folds, 574 x 5 rows at seed 0.  ``lssvm`` also
 runs on a telescope-shaped fold: 4565 x 10 continuous rows, about 35%
 positives, the fit rows of one of five folds of a 30% split of 19020.
-Each line is the median seconds of ``--repeats`` fits and the traced peak
-memory (``tracemalloc``, MB) of one more fit.
+Each line is the median seconds of ``--repeats`` fits, the median seconds
+of ``--repeats`` ``predict_scores`` calls of the last fit on its own fit
+rows, and the traced peak memory (``tracemalloc``, MB) of one more fit.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_fits.py
         [--families a,b] [--seed N] [--repeats R]
@@ -99,12 +100,18 @@ def main() -> int:
                 continue
             point = {k: v[0] for k, v in THIN_GRIDS[family].items()}
             spec = _resolve_spec(family, point, data.n_features, args.seed)
-            times = []
+            fit_s = []
             for _ in range(args.repeats):
                 t0 = time.perf_counter()
-                fit_model(spec, data)
-                times.append(time.perf_counter() - t0)
-            print(f"{family:18s} {label:13s} {point}  {statistics.median(times):.3f} s"
+                model = fit_model(spec, data)
+                fit_s.append(time.perf_counter() - t0)
+            predict_s = []
+            for _ in range(args.repeats):
+                t0 = time.perf_counter()
+                model.predict_scores(data)
+                predict_s.append(time.perf_counter() - t0)
+            print(f"{family:18s} {label:13s} {point}  fit {statistics.median(fit_s):.3f} s"
+                  f"  predict {statistics.median(predict_s):.4f} s"
                   f"  {traced_peak_mb(spec, data):.1f} MB")
     return 0
 

@@ -34,9 +34,11 @@ class Dataset:
     """An N x d feature matrix with dense integer labels.
 
     Invariants enforced at construction: all feature values finite,
-    every class id in 0..C-1 occurs, N >= 2, d >= 1, C >= 2 (the C >= 2
-    check is skipped for internal single-class slices created by
-    restriction, which never reach model fitting directly).
+    N >= 2, d >= 1, one name per feature and every label in 0..C-1,
+    where C = len(class_names).  A class may have no rows: row
+    restrictions and hand-built sets can lack one.  ``load_dataset``
+    names only classes that occur and requires two of them; one-vs-all
+    fits reject an empty class.
     """
 
     features: np.ndarray

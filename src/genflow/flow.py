@@ -103,6 +103,10 @@ class FlowConfig:
                 raise DataError(f"unknown {kind} {unknown}; known: {sorted(known)}")
         if self.bin_count < 2:  # the binned rankers need two bins
             raise DataError(f"bin_count must be >= 2, got {self.bin_count}")
+        if self.fold_count < 2:  # one fold leaves nothing to fit on
+            raise DataError(f"fold_count must be >= 2, got {self.fold_count}")
+        if self.seed < 0:  # NumPy seeds are non-negative
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {
@@ -167,6 +171,9 @@ def load_hierarchy_spec(path) -> HierarchySpec:
         raise DataError(f"{path}: hierarchy must be a nonempty list of levels")
     levels = []
     for i, rec in enumerate(doc):
+        if not isinstance(rec, dict):
+            raise DataError(f"{path}: bad level record {i}: expected a JSON object, "
+                            f"got {rec!r}")
         try:
             levels.append(HierarchyLevel(
                 name=str(rec.get("name", f"level {i + 1}")),

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..dataset import Dataset
-from .base import ModelError, ModelSpec, TrainedModel
+from .base import ModelError, ModelSpec, TrainedModel, document_field
 from .linear import LogisticRegressionModel, MultinomialLogregModel
 from .lssvm import LssvmModel
 from .boosting import BoostedTreeModel
@@ -150,9 +150,17 @@ def fit_one_vs_all(binary_family: str, hyperparameters: dict, train: Dataset,
 
 
 def model_from_document(doc: dict) -> TrainedModel:
-    """Inverse of ``TrainedModel.to_document`` (exact float round-trip)."""
-    spec = ModelSpec(doc["family"], dict(doc["hyperparameters"]), seed=doc.get("seed", 0))
-    return FAMILIES[spec.family].model.from_payload(
-        spec, tuple(doc["feature_names"]), tuple(doc["class_names"]),
-        doc["parameters"], converged=doc.get("converged", True),
+    """Inverse of ``TrainedModel.to_document`` (exact float round-trip).
+
+    A missing or malformed field raises ``ModelError`` naming the family
+    and the field.
+    """
+    family = document_field("model document", doc, "family", str)
+    where = f"{family} model document"
+    spec = ModelSpec(family, document_field(where, doc, "hyperparameters", dict),
+                     seed=doc.get("seed", 0))
+    return FAMILIES[family].model.from_payload(
+        spec, document_field(where, doc, "feature_names", tuple),
+        document_field(where, doc, "class_names", tuple),
+        document_field(where, doc, "parameters"), converged=doc.get("converged", True),
     )

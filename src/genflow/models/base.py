@@ -14,6 +14,7 @@ __all__ = [
     "ModelError",
     "encode_array",
     "decode_array",
+    "document_field",
     "row_max",
 ]
 
@@ -55,8 +56,6 @@ class TrainedModel:
     Instances are immutable by convention after ``fit``.
     """
 
-    is_binary = True
-
     def __init__(self, spec: ModelSpec, feature_names: tuple[str, ...],
                  class_names: tuple[str, ...]):
         self.spec = spec
@@ -90,8 +89,9 @@ class TrainedModel:
         return np.argmax(self.predict_scores(data), axis=1)
 
     # Serialization: the learned parameters are the constructor arguments
-    # named in PAYLOAD, saved as arrays in that order.  Families whose
-    # parameters are not arrays override ``_payload`` and ``from_payload``.
+    # named in PAYLOAD, saved as arrays in that order.  Only the one-vs-all
+    # model, whose parameters are whole member models, overrides
+    # ``_payload`` and ``from_payload``.
     PAYLOAD: tuple[str, ...] = ()
 
     def _payload(self) -> dict:
@@ -99,8 +99,10 @@ class TrainedModel:
 
     @classmethod
     def from_payload(cls, spec, feature_names, class_names, payload, converged=True):
+        where = f"{spec.family} model document parameters"
         model = cls(spec, feature_names, class_names,
-                    **{k: decode_array(payload[k]) for k in cls.PAYLOAD})
+                    **{k: document_field(where, payload, k, decode_array)
+                       for k in cls.PAYLOAD})
         model.converged = converged
         return model
 
@@ -130,11 +132,26 @@ def row_max(Z: np.ndarray) -> np.ndarray:
 
 
 def encode_array(a: np.ndarray) -> dict:
-    """Exact float round-trip via hexadecimal float strings."""
-    arr = np.asarray(a, dtype=float)
+    """Exact round-trip: integer arrays as JSON integers, anything else as
+    hexadecimal float strings."""
+    arr = np.asarray(a)
+    if arr.dtype.kind == "i":
+        return {"shape": list(arr.shape), "int": arr.ravel().tolist()}
+    arr = arr.astype(float)
     return {"shape": list(arr.shape), "hex": [v.hex() for v in arr.ravel().tolist()]}
 
 
 def decode_array(doc: dict) -> np.ndarray:
+    if "int" in doc:
+        return np.array(doc["int"], dtype=np.intp).reshape(doc["shape"])
     vals = np.array([float.fromhex(h) for h in doc["hex"]], dtype=float)
     return vals.reshape(doc["shape"])
+
+
+def document_field(where: str, doc: dict, name: str, read=lambda v: v):
+    """``read(doc[name])``; a missing or malformed field is a ``ModelError``."""
+    try:
+        return read(doc[name])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ModelError(f"{where}: field {name!r} is missing or malformed "
+                         f"({type(exc).__name__}: {exc})") from exc

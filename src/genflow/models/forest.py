@@ -5,24 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import Dataset
-from .base import ModelSpec, TrainedModel
-from .tree import (
-    grow_random_classification_tree,
-    tree_predict,
-    tree_to_doc,
-    tree_from_doc,
-)
+from .base import ModelSpec
+from .tree import NodeTable, TreeEnsemble, grow_random_classification_tree, tree_predict
 
 __all__ = ["DecisionForestModel"]
 
 
-class DecisionForestModel(TrainedModel):
-    is_binary = False
-
-    def __init__(self, spec, feature_names, class_names, trees):
-        super().__init__(spec, feature_names, class_names)
-        self.trees = trees
-
+class DecisionForestModel(TreeEnsemble):
     @classmethod
     def fit(cls, spec: ModelSpec, train: Dataset) -> "DecisionForestModel":
         split_count = int(spec.param("split_count", 128))
@@ -30,30 +19,15 @@ class DecisionForestModel(TrainedModel):
         n_trees = int(spec.param("ensemble_count", 8))
         rng = np.random.default_rng(spec.seed)
         X, y, C = train.features, train.labels, train.n_classes
-        trees = []
+        table, roots = NodeTable(), []
         for _ in range(n_trees):
             rows = rng.integers(0, len(y), size=len(y))  # bootstrap
-            trees.append(
-                grow_random_classification_tree(
-                    X[rows], y[rows], C, split_count, depth, rng
-                )
-            )
-        return cls(spec, train.feature_names, train.class_names, trees)
+            roots.append(grow_random_classification_tree(
+                X[rows], y[rows], C, split_count, depth, rng, table))
+        return cls(spec, train.feature_names, train.class_names, roots, **table.columns())
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
         # Hard vote per tree (the most popular class), averaged.
-        C = len(self.class_names)
-        votes = np.zeros((len(X), C))
-        for t in self.trees:
-            dist = tree_predict(t, X)
-            winners = np.argmax(dist, axis=1)
-            votes[np.arange(len(X)), winners] += 1.0
-        return votes / len(self.trees)
-
-    def _payload(self) -> dict:
-        return {"trees": [tree_to_doc(t) for t in self.trees]}
-
-    @classmethod
-    def from_payload(cls, spec, feature_names, class_names, payload, converged=True):
-        return cls(spec, feature_names, class_names,
-                   [tree_from_doc(d) for d in payload["trees"]])
+        winners = np.argmax(self.value, axis=1)[tree_predict(self, X)]
+        votes = winners[:, :, None] == np.arange(len(self.class_names))
+        return votes.sum(axis=1) / len(self.roots)

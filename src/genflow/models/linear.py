@@ -146,7 +146,6 @@ class LogisticRegressionModel(TrainedModel):
 class MultinomialLogregModel(TrainedModel):
     """Softmax regression: P(class i | x) proportional to exp(B_i . x)."""
 
-    is_binary = False
     PAYLOAD = ("coef",)
 
     def __init__(self, spec, feature_names, class_names, coef, converged=True):

@@ -60,10 +60,6 @@ class NeuralNetModel(TrainedModel):
         self.mu, self.sd = np.asarray(mu, float), np.asarray(sd, float)
         self.converged = converged
 
-    @property
-    def is_binary(self):
-        return self.W2.shape[1] == 1
-
     @classmethod
     def fit(cls, spec: ModelSpec, train: Dataset) -> "NeuralNetModel":
         lr = float(spec.param("learning_rate", 0.04))

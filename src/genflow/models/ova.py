@@ -8,14 +8,12 @@ from dataclasses import replace
 import numpy as np
 
 from ..dataset import Dataset, DataError
-from .base import ModelSpec, TrainedModel
+from .base import ModelSpec, TrainedModel, document_field
 
 __all__ = ["OneVsAllModel"]
 
 
 class OneVsAllModel(TrainedModel):
-    is_binary = False
-
     def __init__(self, spec, feature_names, class_names, members):
         super().__init__(spec, feature_names, class_names)
         self.members = list(members)
@@ -51,5 +49,7 @@ class OneVsAllModel(TrainedModel):
     def from_payload(cls, spec, feature_names, class_names, payload, converged=True):
         from . import model_from_document  # the registry imports this module
 
+        members = document_field(f"{spec.family} model document parameters",
+                                 payload, "members", list)
         return cls(spec, feature_names, class_names,
-                   [model_from_document(m) for m in payload["members"]])
+                   [model_from_document(m) for m in members])

@@ -1,10 +1,17 @@
 """Decision-tree building blocks: a leaf-count-limited regression tree
 (for boosting) and a random-candidate classification tree (for forests).
 
-Trees are stored as nested dicts: internal nodes carry ``feature`` /
-``threshold`` / ``left`` / ``right``; leaves carry ``value`` (a scalar
-for regression, a class-distribution vector for classification).  Rows
-with feature value <= threshold go left.
+All trees of an ensemble live in one node table of five parallel arrays,
+the layout of scikit-learn's tree module: node i splits on
+``feature[i]`` at ``threshold[i]`` and sends rows with feature value <=
+threshold to ``left[i]``, the rest to ``right[i]``.  A leaf has
+``left = right = -1`` (and ``feature = -1``); ``value[i]`` is a scalar
+for regression and a class-distribution row for classification, and is
+read only at leaves.  Tree t starts at ``roots[t]`` and owns the rows up
+to the next root.  The growers append one tree to a ``NodeTable`` and
+return its root; ``tree_predict`` walks every tree at once, one depth
+level per step, and returns each row's leaf in each tree.  Fitted
+ensembles save the table through the shared ``PAYLOAD`` serializer.
 
 Split search works on whole nodes at once:
 
@@ -22,26 +29,70 @@ Both searches reproduce the scalar per-feature / per-candidate search bit
 for bit, and the forest consumes the random stream in the same order, so a
 given seed grows the same trees: ties sort by row index, prefix sums are
 sequential, and the first feature and the first cut win a tied gain.
-``tests/tree_reference.py`` keeps the scalar search as the test oracle.
+``tests/tree_reference.py`` keeps the scalar search, the nested-dict
+trees and their recursive walk as the test oracle.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 
 import numpy as np
 
+from .base import TrainedModel
+
 __all__ = [
+    "NodeTable",
+    "TreeEnsemble",
     "presort",
     "grow_regression_tree",
     "grow_random_classification_tree",
     "tree_predict",
-    "tree_to_doc",
-    "tree_from_doc",
 ]
 
 _MIN_GAIN = 1e-12
+_COLUMNS = ("feature", "threshold", "left", "right", "value")
+
+
+class NodeTable:
+    """The node table while trees grow: one list per column."""
+
+    def __init__(self):
+        for name in _COLUMNS:
+            setattr(self, name, [])
+
+    def leaf(self, value) -> int:
+        """Append a leaf and return its index."""
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(value)
+        return len(self.value) - 1
+
+    def split(self, node: int, feature: int, threshold: float, left: int, right: int):
+        """Turn leaf ``node`` into a split; its ``value`` is no longer read."""
+        self.feature[node], self.threshold[node] = feature, threshold
+        self.left[node], self.right[node] = left, right
+
+    def columns(self) -> dict:
+        return {name: getattr(self, name) for name in _COLUMNS}
+
+
+class TreeEnsemble(TrainedModel):
+    """Base for tree ensembles: the node table and each tree's root."""
+
+    PAYLOAD = ("roots",) + _COLUMNS
+
+    def __init__(self, spec, feature_names, class_names, roots, feature, threshold,
+                 left, right, value):
+        super().__init__(spec, feature_names, class_names)
+        self.roots = np.asarray(roots, dtype=np.intp)
+        self.feature = np.asarray(feature, dtype=np.intp)
+        self.threshold = np.asarray(threshold, dtype=float)
+        self.left = np.asarray(left, dtype=np.intp)
+        self.right = np.asarray(right, dtype=np.intp)
+        self.value = np.asarray(value, dtype=float)
 
 
 def presort(X: np.ndarray) -> np.ndarray:
@@ -77,46 +128,43 @@ def _best_split(g: np.ndarray, order: np.ndarray, vs: np.ndarray, g_sum: float):
 
 
 def grow_regression_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray,
-                         max_leaves: int, order: np.ndarray
-                         ) -> tuple[dict, np.ndarray]:
-    """Best-first growth to at most ``max_leaves`` leaves.
+                         max_leaves: int, order: np.ndarray, table: NodeTable
+                         ) -> tuple[int, np.ndarray]:
+    """Best-first growth to at most ``max_leaves`` leaves, appended to
+    ``table``; the tree's nodes are ``table`` rows root..end.
 
     The tree structure is fit to ``g`` by least squares; leaf values
     are the Newton step sum(g)/sum(h) over the leaf's rows (pass h = 1
     for plain mean leaves).  ``order`` is ``presort(X)``.  Returns the
-    tree and each row's leaf value.
+    root and each row's leaf value.
     """
     fitted = np.empty(len(g))
     goes_left = np.zeros(len(g), dtype=bool)
-    heap = []
-    counter = itertools.count()  # tie-break: expansion order
+    heap = []  # equal gains expand in creation order, i.e. by node index
 
     def leaf(rows, order, vs):
         """A leaf over ``rows`` (ascending), queued with its best split."""
         g_sum = g[rows].sum()
         fitted[rows] = value = float(g_sum / max(h[rows].sum(), 1e-12))
-        node = {"value": value}
+        node = table.leaf(value)
         split = _best_split(g, order, vs, g_sum)
         if split is not None:
-            heapq.heappush(heap, (-split[0], next(counter), node, split, rows, order, vs))
+            heapq.heappush(heap, (-split[0], node, split, rows, order, vs))
         return node
 
     root = leaf(np.arange(len(g)), order, np.take_along_axis(X.T, order, axis=1))
     leaves = 1
     while heap and leaves < max_leaves:
-        _, _, node, (_, f, thr), rows, order, vs = heapq.heappop(heap)
+        _, node, (_, f, thr), rows, order, vs = heapq.heappop(heap)
         mask = X[rows, f] <= thr
         goes_left[rows] = mask
         in_left, d = goes_left[order], len(order)
         in_right = ~in_left
-        node.clear()
-        node.update(
-            feature=f, threshold=thr,
-            left=leaf(rows[mask], order[in_left].reshape(d, -1),
-                      vs[in_left].reshape(d, -1)),
-            right=leaf(rows[~mask], order[in_right].reshape(d, -1),
-                       vs[in_right].reshape(d, -1)),
-        )
+        table.split(node, f, thr,
+                    leaf(rows[mask], order[in_left].reshape(d, -1),
+                         vs[in_left].reshape(d, -1)),
+                    leaf(rows[~mask], order[in_right].reshape(d, -1),
+                         vs[in_right].reshape(d, -1)))
         leaves += 1
     return root, fitted
 
@@ -129,24 +177,25 @@ def _gini(counts: np.ndarray) -> np.ndarray:
 
 def grow_random_classification_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
                                     split_count: int, max_depth: int,
-                                    rng: np.random.Generator) -> dict:
+                                    rng: np.random.Generator, table: NodeTable) -> int:
     """Forest member: at each node try ``split_count`` random (feature,
     threshold) candidates, thresholds uniform over the node-local value
     range; keep the best Gini reduction.  Leaves store class frequencies.
+    Appends the tree to ``table`` and returns its root.
     """
 
-    def build(rows: np.ndarray, depth: int) -> dict:
+    def build(rows: np.ndarray, depth: int) -> int:
         per_class = np.bincount(y[rows], minlength=n_classes)
         counts = per_class.astype(float)
-        dist = counts / counts.sum()
+        node = table.leaf(counts / counts.sum())
         if depth >= max_depth or rows.size < 2 or counts.max() == counts.sum():
-            return {"value": dist}
+            return node
         feats = rng.integers(0, X.shape[1], size=split_count)
         Xr = X[rows]
         lo, hi = Xr.min(axis=0)[feats], Xr.max(axis=0)[feats]
         live = hi > lo  # constant candidates draw no threshold
         if not live.any():
-            return {"value": dist}
+            return node
         feats = feats[live]
         thr = rng.uniform(lo[live], hi[live])
         left = Xr[:, feats] <= thr
@@ -158,68 +207,43 @@ def grow_random_classification_tree(X: np.ndarray, y: np.ndarray, n_classes: int
         m = rows.size
         ok = np.flatnonzero((nl > 0) & (nl < m))
         if ok.size == 0:
-            return {"value": dist}
+            return node
         cl, nl = cl[ok], nl[ok]
         gain = _gini(counts) - (nl * _gini(cl) + (m - nl) * _gini(counts - cl)) / m
         j = int(np.argmax(gain))
         if not gain[j] > _MIN_GAIN:
-            return {"value": dist}
+            return node
         j = ok[j]
         mask = left[:, j]
-        return {
-            "feature": int(feats[j]),
-            "threshold": float(thr[j]),
-            "left": build(rows[mask], depth + 1),
-            "right": build(rows[~mask], depth + 1),
-        }
+        table.split(node, int(feats[j]), float(thr[j]),
+                    build(rows[mask], depth + 1), build(rows[~mask], depth + 1))
+        return node
 
     # Row order within a node changes no count, extreme or draw.
     return build(np.argsort(y, kind="stable"), 0)
 
 
-def tree_predict(node: dict, X: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation; output shape matches the leaf value shape."""
-    probe = _first_leaf_value(node)
-    out = np.zeros((len(X),) + np.shape(probe))
+def tree_predict(ensemble, X: np.ndarray) -> np.ndarray:
+    """Leaf index of every row in every tree of ``ensemble`` (an object
+    with ``roots`` and the node-table arrays), shape (n, trees).
 
-    def walk(nd, rows):
-        if "value" in nd:
-            out[rows] = nd["value"]
-            return
-        mask = X[rows, nd["feature"]] <= nd["threshold"]
-        walk(nd["left"], rows[mask])
-        walk(nd["right"], rows[~mask])
-
-    walk(node, np.arange(len(X)))
-    return out
-
-
-def _first_leaf_value(node):
-    while "value" not in node:
-        node = node["left"]
-    return np.asarray(node["value"])
-
-
-def tree_to_doc(node: dict) -> dict:
-    if "value" in node:
-        v = np.asarray(node["value"], dtype=float)
-        return {"value": [x.hex() for x in v.ravel().tolist()],
-                "scalar": v.ndim == 0}
-    return {
-        "feature": node["feature"],
-        "threshold": float(node["threshold"]).hex(),
-        "left": tree_to_doc(node["left"]),
-        "right": tree_to_doc(node["right"]),
-    }
+    All (row, tree) pairs step down one level together; a pair stops
+    at its leaf.
+    """
+    leaf = np.tile(ensemble.roots, (len(X), 1))
+    flat = leaf.reshape(-1)  # a view: writes land in ``leaf``
+    child = np.column_stack([ensemble.right, ensemble.left]).ravel()  # [2i + goes_left]
+    values = X.ravel()
+    live = np.flatnonzero(ensemble.left[flat] >= 0)
+    node = flat[live]
+    start = live // leaf.shape[1] * X.shape[1]  # the pair's row in ``values``
+    while live.size:
+        goes_left = values[start + ensemble.feature[node]] <= ensemble.threshold[node]
+        node = child[2 * node + goes_left]
+        inner = ensemble.left[node] >= 0
+        if not inner.all():
+            flat[live] = node
+            live, node, start = live[inner], node[inner], start[inner]
+    return leaf
 
 
-def tree_from_doc(doc: dict) -> dict:
-    if "value" in doc:
-        vals = np.array([float.fromhex(h) for h in doc["value"]])
-        return {"value": float(vals[0]) if doc["scalar"] else vals}
-    return {
-        "feature": doc["feature"],
-        "threshold": float.fromhex(doc["threshold"]),
-        "left": tree_from_doc(doc["left"]),
-        "right": tree_from_doc(doc["right"]),
-    }

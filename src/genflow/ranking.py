@@ -61,26 +61,24 @@ def _descending_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-def fisher_score(train: Dataset, positive_class: int | None = None) -> RankedFeatures:
+def fisher_score(train: Dataset) -> RankedFeatures:
     """Squared between-class mean gap over summed within-class variances.
 
     Variances are population variances.  A feature with zero spread on
     both sides scores 0 when the class means agree and +inf when they
-    differ (maximally discriminating).  For C > 2 with no explicit
-    positive class the score is the max over one-vs-rest views.
+    differ (maximally discriminating).  For C > 2 the score is the max
+    over one-vs-rest views.
     """
-    if positive_class is None and train.n_classes > 2:
+    if train.n_classes > 2:
         per_class = [
             _fisher_binary(train.features, train.labels == c)
             for c in range(train.n_classes)
         ]
         scores = np.max(per_class, axis=0)
     else:
-        if positive_class is None:
-            positive_class = 1
-        mask = train.labels == positive_class
+        mask = train.labels == 1
         if mask.all() or not mask.any():
-            raise DataError(f"class {positive_class} vs rest: one side is empty")
+            raise DataError("class 1 vs rest: one side is empty")
         scores = _fisher_binary(train.features, mask)
     return RankedFeatures("fisher", scores, _descending_order(scores))
 

@@ -152,22 +152,16 @@ def sweep_parameters(family: str, grid: dict[str, list], train: Dataset,
 
 
 def dimensionality_sweep(best_spec: ModelSpec, train: Dataset, folds: FoldPlan,
-                         rankings: list[RankedFeatures],
-                         method_order: tuple[str, ...] | None = None
-                         ) -> DimSweepResult:
+                         rankings: list[RankedFeatures]) -> DimSweepResult:
     """Refit the selected spec on top-k subsets for k = 1..d per ranking.
 
     Best (method, k) maximizes mean CV accuracy; ties prefer smaller k,
     then the earlier-listed method.  The winner's out-of-fold labels are kept.
     """
     d = train.n_features
-    if method_order is None:
-        method_order = tuple(r.method for r in rankings)
-    by_method = {r.method: r for r in rankings}
     curves: dict[str, list[float]] = {}
     best = None  # (acc, k, method_pos)
-    for pos, method in enumerate(method_order):
-        ranking = by_method[method]
+    for pos, ranking in enumerate(rankings):
         curve = []
         for k in range(1, d + 1):
             accs, pred = cross_validate(best_spec, project_top_k(train, ranking, k),
@@ -177,10 +171,10 @@ def dimensionality_sweep(best_spec: ModelSpec, train: Dataset, folds: FoldPlan,
             cand = (acc, -k, -pos)
             if best is None or cand > best:
                 best, best_pred = cand, pred
-        curves[method] = curve
+        curves[ranking.method] = curve
     acc, neg_k, neg_pos = best
     return DimSweepResult(
-        best_method=method_order[-neg_pos],
+        best_method=rankings[-neg_pos].method,
         best_k=-neg_k,
         cv_accuracy=acc,
         curves=curves,

@@ -68,6 +68,24 @@ class TestRecords:
                 spec = _resolve_spec(name, point, 7, seed=0)
                 assert isinstance(spec, ModelSpec) and spec.family == name
 
+    def test_nested_tree_document_is_model_error(self):
+        """A tree written as nested dicts, not as a node table."""
+        doc = {"family": "boosted_tree", "hyperparameters": {"trees": 1}, "seed": 0,
+               "feature_names": ["f0"], "class_names": ["a", "b"], "converged": True,
+               "parameters": {
+                   "base_score": (0.0).hex(),
+                   "trees": [{"feature": 0, "threshold": (0.5).hex(),
+                              "left": {"value": [(-0.25).hex()], "scalar": True},
+                              "right": {"value": [(0.25).hex()], "scalar": True}}]}}
+        with pytest.raises(ModelError, match="boosted_tree model document.*'roots'"):
+            model_from_document(doc)
+
+    def test_document_without_parameters_is_model_error(self):
+        doc = fit_model(ModelSpec("logreg", {}), toy(12, 2, 2, 0)).to_document()
+        del doc["parameters"]
+        with pytest.raises(ModelError, match="logreg model document.*'parameters'"):
+            model_from_document(doc)
+
     def test_ova_records_share_their_base(self):
         ova = {n: f for n, f in FAMILIES.items() if f.ova_base}
         assert sorted(ova) == ["ova_boosted_tree", "ova_logreg", "ova_svm"]

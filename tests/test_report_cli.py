@@ -173,6 +173,32 @@ class TestCli:
                      "--hierarchy", str(h), "--out", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize("levels", ['[[0, 1]]', '["x"]'])
+    def test_non_object_hierarchy_level_exit_2(self, tmp_path, levels, capsys):
+        data = write_toy_csv(tmp_path / "toy.csv")
+        h = tmp_path / "h.json"
+        h.write_text(levels)
+        code = main(["--data", str(data), "--label-col", "label",
+                     "--hierarchy", str(h), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "bad level record 0: expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--fold-count", "0"),
+                                             ("--fold-count", "1")])
+    def test_bad_seed_or_fold_count_exit_2_before_split(self, tmp_path, monkeypatch,
+                                                         flag, value):
+        from genflow import flow
+
+        def no_split(*args, **kwargs):
+            raise AssertionError("split reached")  # would exit 3
+
+        monkeypatch.setattr(flow, "stratified_split", no_split)
+        data = write_toy_csv(tmp_path / "toy.csv")
+        code = main(["--data", str(data), "--label-col", "label",
+                     "--families", "logreg", "--rankers", "fisher", flag, value,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+
     def test_planted_bug_in_fitter_exit_3(self, tmp_path, monkeypatch):
         from genflow import models
 

@@ -1,10 +1,15 @@
-"""Reference tree growers: the scalar search that the tree engine in
-``genflow.models.tree`` replaced, kept unchanged as a test oracle.
+"""Reference trees: the scalar search and the nested-dict trees that the
+tree engine in ``genflow.models.tree`` replaced, kept unchanged as a test
+oracle.
 
 ``_best_split`` argsorts every feature at every node and
 ``grow_random_classification_tree`` scores its candidates one at a time.
-The engine must reproduce these trees bit for bit and consume the same
-random stream.
+Their trees are nested dicts: internal nodes carry ``feature`` /
+``threshold`` / ``left`` / ``right``, leaves carry ``value``.
+``tree_predict`` walks such a tree recursively and ``tree_to_doc`` encodes
+it with hex floats.  ``nested`` converts one tree of the engine's node
+table to this form, so the engine must reproduce these trees bit for
+bit, consume the same random stream and predict the same leaf values.
 """
 
 from __future__ import annotations
@@ -147,3 +152,52 @@ def grow_random_classification_tree(X: np.ndarray, y: np.ndarray, n_classes: int
         }
 
     return build(np.arange(len(y)), 0)
+
+
+def nested(table, root: int) -> dict:
+    """The tree at ``root`` of a node table as nested dicts."""
+    if table.left[root] < 0:
+        value = np.asarray(table.value[root], dtype=float)
+        return {"value": float(value) if value.ndim == 0 else value}
+    return {
+        "feature": int(table.feature[root]),
+        "threshold": float(table.threshold[root]),
+        "left": nested(table, int(table.left[root])),
+        "right": nested(table, int(table.right[root])),
+    }
+
+
+def tree_predict(node: dict, X: np.ndarray) -> np.ndarray:
+    """Vectorized evaluation; output shape matches the leaf value shape."""
+    probe = _first_leaf_value(node)
+    out = np.zeros((len(X),) + np.shape(probe))
+
+    def walk(nd, rows):
+        if "value" in nd:
+            out[rows] = nd["value"]
+            return
+        mask = X[rows, nd["feature"]] <= nd["threshold"]
+        walk(nd["left"], rows[mask])
+        walk(nd["right"], rows[~mask])
+
+    walk(node, np.arange(len(X)))
+    return out
+
+
+def _first_leaf_value(node):
+    while "value" not in node:
+        node = node["left"]
+    return np.asarray(node["value"])
+
+
+def tree_to_doc(node: dict) -> dict:
+    if "value" in node:
+        v = np.asarray(node["value"], dtype=float)
+        return {"value": [x.hex() for x in v.ravel().tolist()],
+                "scalar": v.ndim == 0}
+    return {
+        "feature": node["feature"],
+        "threshold": float(node["threshold"]).hex(),
+        "left": tree_to_doc(node["left"]),
+        "right": tree_to_doc(node["right"]),
+    }
