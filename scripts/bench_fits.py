@@ -4,9 +4,11 @@
 Families that fit binary tasks run on seeded WBC-shaped data (9 integer
 features in 1..10 with many ties, about 35% positives, classes overlapping
 so trees grow deep) at 168 and 4000 rows.  Families that fit multi-class
-tasks run on one cross-validation fold of a seeded six-class set (2400 x 5,
-six imbalanced classes A-F): the 30% stratified training split minus its
-first of five interleaved folds, 574 x 5 rows at seed 0.  ``lssvm`` also
+tasks (every family not marked ``binary_only``) run on one cross-validation
+fold of a seeded six-class set (2400 x 5, six imbalanced classes A-F): the
+30% stratified training split minus the validation rows of the first of its
+five interleaved folds whose fit rows hold every class, 574 x 5 rows at
+seed 0 (the second fold).  ``lssvm`` also
 runs on a telescope-shaped fold: 4565 x 10 continuous rows, about 35%
 positives, the fit rows of one of five folds of a 30% split of 19020.
 Each line is the median seconds of ``--repeats`` fits, the median seconds
@@ -25,8 +27,7 @@ import tracemalloc
 import numpy as np
 
 from genflow import Dataset, make_interleaved_folds, stratified_split
-from genflow.models import (BINARY_FAMILIES, FAMILIES, MULTICLASS_FAMILIES, ModelSpec,
-                            fit_model)
+from genflow.models import BINARY_FAMILIES, FAMILIES, ModelSpec, fit_model
 from genflow.selection import THIN_GRIDS, _resolve_spec
 
 DEFAULT_FAMILIES = "boosted_tree,decision_forest,multinomial_logreg"
@@ -62,7 +63,8 @@ def traced_peak_mb(spec: ModelSpec, data: Dataset) -> float:
 
 def six_class_fold(seed: int) -> Dataset:
     """A group feature, group-internal separators and weak separators for
-    the rare classes; class B has 4 rows."""
+    the rare classes; class B has 4 rows, one of them in the training split,
+    so the fold is one whose fit rows hold it (one-vs-all needs every class)."""
     rng = np.random.default_rng(seed)
     counts = np.maximum((SIX_CLASS_PROPS * 2400).round().astype(int), 4)
     y = np.concatenate([np.full(c, i) for i, c in enumerate(counts)])
@@ -74,8 +76,10 @@ def six_class_fold(seed: int) -> Dataset:
     X[:, 4] += np.where(y == 4, -0.15, np.where(y == 5, 0.15, 0.0))
     data = Dataset(X, y, tuple(f"f{i}" for i in range(5)), tuple("ABCDEF"), "six")
     train = stratified_split(data, 0.30, seed).train
-    fit_rows, _ = next(make_interleaved_folds(train, 5, seed).folds())
-    return train.restrict_rows(fit_rows)
+    for fit_rows, _ in make_interleaved_folds(train, 5, seed).folds():
+        if len(np.unique(train.labels[fit_rows])) == train.n_classes:
+            return train.restrict_rows(fit_rows)
+    raise SystemExit("no fold's fit rows hold every class")
 
 
 def main() -> int:
@@ -86,14 +90,14 @@ def main() -> int:
     p.add_argument("--repeats", type=int, default=1)
     args = p.parse_args()
     families = args.families.split(",")
-    if unknown := [f for f in families if f not in FAMILIES]:
-        p.error(f"unknown families {unknown}; known: {sorted(FAMILIES)}")
     # (label, data, the families that fit it)
     shapes = [(f"n={n}", wbc_shaped(n, args.seed), BINARY_FAMILIES) for n in WBC_ROWS]
     six = six_class_fold(args.seed)
     shapes.append((f"{six.n_samples}x{six.n_features} C={six.n_classes}", six,
-                   MULTICLASS_FAMILIES))
+                   [f for f, rec in FAMILIES.items() if not rec.binary_only]))
     shapes.append((f"{TELESCOPE_ROWS}x10", telescope_fold(args.seed), ("lssvm",)))
+    if unrun := [f for f in families if not any(f in fits for _, _, fits in shapes)]:
+        p.error(f"no shape runs {unrun}; known families: {sorted(FAMILIES)}")
     for label, data, fits in shapes:
         for family in families:
             if family not in fits:

@@ -62,6 +62,6 @@ from .flow import (
     run_flow,
     load_hierarchy_spec,
 )
-from .report import emit_report, emit_plots, emit_bundle
+from .report import emit_bundle
 
 __version__ = "0.1.0"

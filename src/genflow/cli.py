@@ -72,11 +72,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
 
-    if args.seed is None:
-        args.seed = int(os.environ.get("GENFLOW_SEED", "0"))
     delimiter = "\t" if args.delimiter in ("tab", "\\t") else args.delimiter
 
     try:
+        if args.seed is None:
+            env_seed = os.environ.get("GENFLOW_SEED", "0")
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                raise DataError(f"GENFLOW_SEED is not an integer: {env_seed!r}") from None
         data = load_dataset(args.data, args.label_col, na_policy=args.na_policy,
                             delimiter=delimiter)
         hierarchy = load_hierarchy_spec(args.hierarchy) if args.hierarchy else None

@@ -6,7 +6,8 @@ and assemble the final report structure.
 Each task (the flat run or one hierarchy level) takes one path: family
 sweep, one ranking pass, dimensionality sweep, whose winning fits give the
 out-of-fold metrics.  Hierarchy levels are binarized on both splits before
-any fit (an empty or one-sided level is a DataError) and scored from there.
+any fit (an empty or one-sided level is a DataError) and scored from there;
+a task that no requested family applies to is a DataError at the same point.
 
 Decision 3 (flat vs hierarchical) is evaluated on out-of-fold training
 predictions so that the test split influences nothing before the final
@@ -216,6 +217,10 @@ class FlowReport:
     decision_trail: list[dict] = field(default_factory=list)
     advisories: list[str] = field(default_factory=list)
 
+    def tasks(self) -> list[TaskResult]:
+        """The flat task (once set), then the hierarchy levels."""
+        return ([self.flat] if self.flat else []) + self.levels
+
 
 def decision_route(data: Dataset) -> str:
     return "binary" if data.n_classes == 2 else "multiclass"
@@ -257,10 +262,17 @@ def select_best_model(candidates, train: Dataset, folds: FoldPlan, grids,
     return best[1], leaderboard
 
 
-def _candidates(config: FlowConfig, default: tuple, extra: tuple = ()) -> list[str]:
-    """The requested families that apply to the route (all of ``default``
-    if none were requested)."""
-    return [f for f in config.candidate_families or default if f in default + extra]
+def _route_families(config: FlowConfig, route: str) -> tuple[list[str], list[str]]:
+    """The families swept on the flat task and on each hierarchy level: the
+    requested ones that apply (all of the route's defaults if none were
+    requested).  A binary route's flat task is swept like a level."""
+    def applicable(default: tuple, extra: tuple = ()) -> list[str]:
+        return [f for f in config.candidate_families or default if f in default + extra]
+
+    levels = applicable(BINARY_FAMILIES)
+    if route == "binary":
+        return levels, levels
+    return applicable(MULTICLASS_FAMILIES, ("ova_logreg",)), levels
 
 
 def _run_task(name: str, train: Dataset, candidates, config: FlowConfig,
@@ -320,7 +332,6 @@ def _final_score(task: TaskResult, train: Dataset, test: Dataset) -> None:
     task.model = model
     if test.n_classes == 2:
         task.roc = roc_and_auc(scores[:, 1], test.labels)
-        task.test_metrics.roc = task.roc.roc
         task.test_metrics.auc = task.roc.auc
 
 
@@ -366,7 +377,7 @@ def evaluate_hierarchy(levels: list[tuple[str, Dataset, Dataset]],
     combined out-of-fold metrics).  Levels are trained on ground-truth
     subsets; predictions never cascade between levels.
     """
-    candidates = _candidates(config, BINARY_FAMILIES)
+    _, candidates = _route_families(config, "multiclass")
     tasks = [_run_task(f"hierarchy:{name}", train, candidates, config, trail)
              for name, train, _ in levels]
     return tasks, combine_level_metrics([t.cv_metrics for t in tasks])
@@ -408,12 +419,8 @@ def _refuse_oversized_kernel(config: FlowConfig, route: str, n_train: int,
     """Refuse, before any fit, a run whose LS-SVM would not fit in memory.
     The final refit on the whole training split and its test scoring bound
     every fold and hierarchy-level fit."""
-    candidates = set()
-    if route == "binary" or config.hierarchy is not None:
-        candidates.update(_candidates(config, BINARY_FAMILIES))
-    if route != "binary":
-        candidates.update(_candidates(config, MULTICLASS_FAMILIES, ("ova_logreg",)))
-    if not candidates & {"lssvm", "ova_svm"}:
+    flat, levels = _route_families(config, route)
+    if not {*flat, *(levels if config.hierarchy else ())} & {"lssvm", "ova_svm"}:
         return
     estimate = lssvm_peak_bytes(n_train, n_test)
     available = physical_memory_bytes()
@@ -426,7 +433,8 @@ def _refuse_oversized_kernel(config: FlowConfig, route: str, n_train: int,
 
 
 def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
-    """Execute the whole pipeline on one dataset."""
+    """Execute the whole pipeline on one dataset.  The returned report is
+    complete: ``report_body`` of it is the body the bundle writes."""
     trail: list[dict] = []
     split = stratified_split(data, config.train_fraction, config.seed)
     route = decision_route(data)
@@ -450,35 +458,37 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
         decision_trail=trail,
     )
 
-    # Every hierarchy level is binarized on both splits before any fit.
+    # Every hierarchy level is binarized on both splits, and every task has
+    # a family to sweep, before any fit.
     levels = []
     if config.hierarchy is not None:
         config.hierarchy.validate_for(data.n_classes)
         levels = [(lv.name, _binarize_level(split.train, lv),
                    _binarize_level(split.test, lv)) for lv in config.hierarchy.levels]
-    if route == "binary":
-        task = _run_task("binary", split.train, _candidates(config, BINARY_FAMILIES),
-                         config, trail)
-        _final_score(task, split.train, split.test)
-        report.flat = task
-        return report
+    flat_families, level_families = _route_families(config, route)
+    if not flat_families:
+        raise DataError(f"none of the families {list(config.candidate_families)} "
+                        f"applies to the {route} route")
+    if config.hierarchy is not None and route != "binary" and not level_families:
+        raise DataError(f"none of the families {list(config.candidate_families)} "
+                        "applies to the binary hierarchy levels")
 
-    candidates = _candidates(config, MULTICLASS_FAMILIES, ("ova_logreg",))
-    flat = _run_task("multiclass_flat", split.train, candidates, config, trail)
-    baseline = randomized_recall(split.train.class_counts())
-    report.baseline = baseline
-
-    hierarchy_cv = None
+    flat = _run_task("binary" if route == "binary" else "multiclass_flat",
+                     split.train, flat_families, config, trail)
     level_tasks: list[TaskResult] = []
-    flat_value = _decision3_value(flat.cv_metrics, config.decision3_metric)
-    if flat_value < baseline and config.hierarchy is not None:
-        level_tasks, hierarchy_cv = evaluate_hierarchy(levels, config, trail)
-    route, detail = decision_hierarchy(flat.cv_metrics, baseline,
-                                       hierarchy_cv, config.decision3_metric)
-    trail.append({"stage": "decision3", "inputs": {}, "outcome": detail})
-    if "advisory" in detail:
-        report.advisories.append(detail["advisory"])
-    report.route = route
+    hierarchy_cv = None
+    if route != "binary":
+        baseline = randomized_recall(split.train.class_counts())
+        report.baseline = baseline
+        flat_value = _decision3_value(flat.cv_metrics, config.decision3_metric)
+        if flat_value < baseline and config.hierarchy is not None:
+            level_tasks, hierarchy_cv = evaluate_hierarchy(levels, config, trail)
+        route, detail = decision_hierarchy(flat.cv_metrics, baseline,
+                                           hierarchy_cv, config.decision3_metric)
+        trail.append({"stage": "decision3", "inputs": {}, "outcome": detail})
+        if "advisory" in detail:
+            report.advisories.append(detail["advisory"])
+        report.route = route
 
     # Final scoring of the chosen route (first stage that reads test data).
     _final_score(flat, split.train, split.test)
@@ -491,4 +501,8 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
             [t.test_metrics for t in level_tasks]
         )
         report.combined_cv = hierarchy_cv
+    for task in report.tasks():
+        if task.roc is not None and not task.roc.roc:
+            report.advisories.append(
+                f"ROC plot skipped for {task.name}: {task.roc.degenerate_flags}")
     return report

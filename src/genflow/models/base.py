@@ -44,9 +44,6 @@ class ModelSpec:
     def param(self, name: str, default=None):
         return self.hyperparameters.get(name, default)
 
-    def key(self) -> tuple:
-        return (self.family, tuple(sorted(self.hyperparameters.items())), self.seed)
-
 
 class TrainedModel:
     """Base for all fitted predictors.

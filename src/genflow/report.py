@@ -1,5 +1,7 @@
-"""Report bundle emission: a structured JSON report, delimited curve
-files, serialized winning models, and self-contained SVG plots.
+"""The report bundle's one writer.  ``run_flow`` returns a complete
+report; ``emit_bundle`` only reads it and writes a structured JSON
+report, delimited curve files, serialized winning models and
+self-contained SVG plots, walking each task once.
 
 Layout under the output directory:
     report.json
@@ -22,7 +24,7 @@ import numpy as np
 from .flow import FlowReport, TaskResult
 from .metrics import EvalMetrics
 
-__all__ = ["emit_report", "emit_plots", "emit_bundle", "report_body"]
+__all__ = ["emit_bundle", "report_body"]
 
 
 def _metrics_dict(m: EvalMetrics | None) -> dict | None:
@@ -59,16 +61,7 @@ def _task_dict(t: TaskResult) -> dict:
             "seed": t.chosen_spec.seed,
         },
         "cv_accuracy": t.sweep.cv_accuracy,
-        "leaderboard": [
-            {"family": e["family"], "cv_accuracy": e["cv_accuracy"],
-             "best_point": e["best_point"],
-             "table": [
-                 {"point": row["point"], "mean_accuracy": row["mean_accuracy"],
-                  "fold_accuracies": row["fold_accuracies"], "note": row["note"]}
-                 for row in e["table"]
-             ]}
-            for e in t.leaderboard
-        ],
+        "leaderboard": t.leaderboard,
         "feature_selection": {
             "method": t.dim.best_method,
             "k": t.dim.best_k,
@@ -103,46 +96,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         for row in rows:
             fh.write(",".join(f"{v:.10g}" if isinstance(v, float) else str(v)
                               for v in row) + "\n")
-
-
-def emit_report(report: FlowReport, out_dir) -> list[Path]:
-    """Write report.json, curve files, and serialized winning models."""
-    out = Path(out_dir)
-    (out / "curves").mkdir(parents=True, exist_ok=True)
-    (out / "models").mkdir(exist_ok=True)
-    written = []
-
-    body = report_body(report)
-    doc = {"generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-           **body}
-    path = out / "report.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
-    written.append(path)
-
-    for task in _all_tasks(report):
-        slug = _slug(task.name)
-        for method, curve in task.dim.curves.items():
-            p = out / "curves" / f"dimsweep_{slug}_{method}.csv"
-            _write_csv(p, ["method", "k", "mean_cv_accuracy"],
-                       [(method, k + 1, float(a)) for k, a in enumerate(curve)])
-            written.append(p)
-        if task.roc is not None and task.roc.roc:
-            p = out / "curves" / f"roc_{slug}.csv"
-            _write_csv(p, ["threshold", "fpr", "tpr"],
-                       [(float(t), float(f), float(tp))
-                        for f, tp, t in task.roc.roc])
-            written.append(p)
-        if task.model is not None:
-            p = out / "models" / f"{slug}.json"
-            p.write_text(json.dumps(task.model.to_document()) + "\n")
-            written.append(p)
-    return written
-
-
-def _all_tasks(report: FlowReport):
-    if report.flat is not None:
-        yield report.flat
-    yield from report.levels
 
 
 def _slug(name: str) -> str:
@@ -248,29 +201,38 @@ def roc_svg(points: list[tuple[float, float, float]], title: str,
     return "\n".join(s)
 
 
-def emit_plots(report: FlowReport, out_dir) -> list[Path]:
-    out = Path(out_dir)
-    (out / "plots").mkdir(parents=True, exist_ok=True)
-    written = []
-    for task in _all_tasks(report):
-        slug = _slug(task.name)
-        p = out / "plots" / f"dimsweep_{slug}.svg"
-        p.write_text(dimsweep_svg(task.dim.curves,
-                                  f"accuracy vs top-k features: {task.name}"))
-        written.append(p)
-        if task.roc is not None:
-            if not task.roc.roc:
-                report.advisories.append(
-                    f"ROC plot skipped for {task.name}: {task.roc.degenerate_flags}"
-                )
-                continue
-            p = out / "plots" / f"roc_{slug}.svg"
-            p.write_text(roc_svg(task.roc.roc, f"ROC: {task.name}",
-                                 auc=task.roc.auc))
-            written.append(p)
-    return written
-
-
 def emit_bundle(report: FlowReport, out_dir) -> list[Path]:
-    files = emit_plots(report, out_dir)  # may append plot advisories
-    return emit_report(report, out_dir) + files
+    """Write the bundle of a finished report; the report is not changed."""
+    out = Path(out_dir)
+    for sub in ("curves", "models", "plots"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
+    path = out / "report.json"
+    doc = {"generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+           **report_body(report)}
+    path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
+    written = [path]
+
+    for task in report.tasks():
+        slug = _slug(task.name)
+        for method, curve in task.dim.curves.items():
+            path = out / "curves" / f"dimsweep_{slug}_{method}.csv"
+            _write_csv(path, ["method", "k", "mean_cv_accuracy"],
+                       [(method, k + 1, float(a)) for k, a in enumerate(curve)])
+            written.append(path)
+        path = out / "plots" / f"dimsweep_{slug}.svg"
+        path.write_text(dimsweep_svg(task.dim.curves,
+                                     f"accuracy vs top-k features: {task.name}"))
+        written.append(path)
+        if task.roc is not None and task.roc.roc:
+            path = out / "curves" / f"roc_{slug}.csv"
+            _write_csv(path, ["threshold", "fpr", "tpr"],
+                       [(float(t), float(f), float(tp)) for f, tp, t in task.roc.roc])
+            written.append(path)
+            path = out / "plots" / f"roc_{slug}.svg"
+            path.write_text(roc_svg(task.roc.roc, f"ROC: {task.name}", auc=task.roc.auc))
+            written.append(path)
+        if task.model is not None:
+            path = out / "models" / f"{slug}.json"
+            path.write_text(json.dumps(task.model.to_document()) + "\n")
+            written.append(path)
+    return written

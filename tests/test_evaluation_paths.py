@@ -233,6 +233,39 @@ class TestNames:
         assert len(lines) - 1 == 4  # one row per feature of the toy set
 
 
+class TestEmptyFamilyList:
+    """A route left with no family to sweep is a DataError before any fit,
+    even when the hierarchy would go unused."""
+
+    @pytest.mark.parametrize("data, families, hierarchy, route", [
+        (make_binary(n=120, seed=1), ("multinomial_logreg",), None, "binary route"),
+        (make_multiclass(n=120, seed=1), ("logreg",), None, "multiclass route"),
+        (make_multiclass(n=120, seed=1), ("multinomial_logreg", "ova_logreg"),
+         HierarchySpec((HierarchyLevel("top", (0,), (1, 2)),)), "hierarchy levels"),
+    ])
+    def test_run_flow_refuses(self, monkeypatch, data, families, hierarchy, route):
+        forbid_fits(monkeypatch)
+        config = fast_config(candidate_families=families, hierarchy=hierarchy)
+        with pytest.raises(DataError, match=route):
+            run_flow(data, config)
+
+    def test_cli_exit_2_before_any_fit(self, tmp_path, monkeypatch, capsys):
+        forbid_fits(monkeypatch)
+        ds = make_imbalanced6(seed=0)
+        data = tmp_path / "six.csv"
+        data.write_text(",".join(ds.feature_names) + ",label\n" + "".join(
+            ",".join(f"{v:.6f}" for v in row) + f",{y}\n"
+            for row, y in zip(ds.features, ds.labels)))
+        h = tmp_path / "h.json"
+        h.write_text('[{"name": "top", "positive": [0, 1, 2], "negative": [3, 4, 5]}]')
+        argv = ["--data", str(data), "--label-col", "label", "--grid-preset", "thin",
+                "--families", "multinomial_logreg,ova_logreg", "--hierarchy", str(h),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "hierarchy levels" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestBinCount:
     @pytest.mark.parametrize("bins", [1, 0, -3])
     def test_rejected_by_config(self, bins):

@@ -5,7 +5,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from genflow import run_flow
+from genflow import flow, run_flow
 from genflow.cli import main
 from genflow.report import dimsweep_svg, emit_bundle, report_body, roc_svg
 from tests.test_flow import fast_config
@@ -86,6 +86,26 @@ class TestBundle:
         a.pop("generated_at")
         b.pop("generated_at")
         assert a == b
+
+
+def test_empty_roc_advisory_is_in_the_returned_report(monkeypatch, tmp_path):
+    real_roc = flow.roc_and_auc
+
+    def no_points(scores, labels):
+        roc = real_roc(scores, labels)
+        roc.roc = []
+        roc.degenerate_flags.append("no ROC points")
+        return roc
+
+    monkeypatch.setattr(flow, "roc_and_auc", no_points)
+    report = run_flow(make_binary(n=150, sep=2.0, seed=4), fast_config())
+    body = json.loads(json.dumps(report_body(report)))
+    assert body["advisories"] == ["ROC plot skipped for binary: ['no ROC points']"]
+    for name in ("first", "second"):  # emitting twice neither edits nor grows it
+        written = emit_and_load(report, tmp_path / name)
+        written.pop("generated_at")
+        assert written == body
+        assert not (tmp_path / name / "plots" / "roc_binary.svg").exists()
 
 
 def emit_and_load(report, out):
@@ -227,3 +247,10 @@ class TestCli:
             outs.append(doc)
         assert outs[0] == outs[1]
         assert outs[0]["config"]["seed"] == 3
+
+    def test_non_integer_seed_env_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GENFLOW_SEED", "abc")
+        data = write_toy_csv(tmp_path / "toy.csv")
+        assert main(["--data", str(data), "--label-col", "label",
+                     "--families", "logreg", "--out", str(tmp_path / "out")]) == 2
+        assert "data error: GENFLOW_SEED" in capsys.readouterr().err
