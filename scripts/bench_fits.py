@@ -30,7 +30,7 @@ from genflow import Dataset, make_interleaved_folds, stratified_split
 from genflow.models import BINARY_FAMILIES, FAMILIES, ModelSpec, fit_model
 from genflow.selection import THIN_GRIDS, _resolve_spec
 
-DEFAULT_FAMILIES = "boosted_tree,decision_forest,multinomial_logreg"
+DEFAULT_FAMILIES = "boosted_tree,decision_forest,logreg,multinomial_logreg"
 WBC_ROWS = (168, 4000)
 SIX_CLASS_PROPS = np.array([0.049, 0.0018, 0.026, 0.69, 0.13, 0.10])
 TELESCOPE_ROWS = 4565
@@ -114,7 +114,7 @@ def main() -> int:
                 t0 = time.perf_counter()
                 model.predict_scores(data)
                 predict_s.append(time.perf_counter() - t0)
-            print(f"{family:18s} {label:13s} {point}  fit {statistics.median(fit_s):.3f} s"
+            print(f"{family:18s} {label:13s} {point}  fit {statistics.median(fit_s):.4f} s"
                   f"  predict {statistics.median(predict_s):.4f} s"
                   f"  {traced_peak_mb(spec, data):.1f} MB")
     return 0

@@ -120,7 +120,11 @@ def row_max(Z: np.ndarray) -> np.ndarray:
 
     NumPy's ``Z.max(axis=1)`` is slow on narrow rows.  Maximum is exact,
     so the values are equal; for C >= 9 the sign of a zero maximum may
-    differ, which no softmax shifted by it can see (exp(+-0) = 1).
+    differ, which no softmax shifted by it can see (exp(+-0) = 1).  Its
+    callers are the row-major softmax sites: the neural net's multi-class
+    loss and the two ``score_matrix`` methods (neural net, multinomial
+    logistic regression); the multinomial fit is class-major and takes
+    ``ZT.max(axis=0)``.
     """
     m = Z[:, 0].copy()
     for c in range(1, Z.shape[1]):

@@ -1,5 +1,15 @@
 """Binary logistic regression (Newton/IRLS) and softmax regression
-(gradient descent), both with a small fixed L2 ridge."""
+(gradient descent), both with a small fixed L2 ridge.
+
+The softmax engine is class-major: a fit transposes its design once, and
+the scores ``ZT`` and residuals are C x N, so each class-wise step (the
+intercept add, the column maxima, the shift, ``exp``, the log-partition
+sum) runs over length-N rows rather than over length-C rows.  Its bits are
+those of row-major N x C code: the product and maxima are bit-equal in
+either layout, and :func:`_class_sums` adds the classes in NumPy's own
+row-sum order.  Two reductions have layout-dependent bits and so still run
+on a row-major N x C residual ``D``: ``D.T @ X`` and ``D.sum(axis=0)``.
+"""
 
 from __future__ import annotations
 
@@ -31,12 +41,10 @@ def _sigmoid(z):
     return out
 
 
-def logistic_nll_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray,
-                      l2: float) -> tuple[float, np.ndarray]:
-    """Penalized negative log-likelihood and its gradient.
-
-    ``w[0]`` is the intercept (unpenalized); ``X`` has no bias column.
-    """
+def _logistic_terms(w: np.ndarray, X: np.ndarray, y: np.ndarray,
+                    l2: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """:func:`logistic_nll_grad` plus the probabilities ``p`` at ``w``, which
+    the Newton step's weights reuse."""
     z = w[0] + X @ w[1:]
     # log(1 + exp(z)) - y*z, computed stably
     nll = float(np.sum(np.logaddexp(0.0, z) - y * z))
@@ -45,49 +53,104 @@ def logistic_nll_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray,
     g = np.empty_like(w)
     g[0] = np.sum(p - y)
     g[1:] = X.T @ (p - y) + l2 * w[1:]
-    return nll, g
+    return nll, g, p
 
 
-def softmax_nll(B: np.ndarray, X: np.ndarray, rows: np.ndarray, y: np.ndarray,
-                l2: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Penalized multinomial NLL, plus the scores ``Z`` and row log-partitions
-    ``logZ`` that :func:`softmax_grad` takes.
+def logistic_nll_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray,
+                      l2: float) -> tuple[float, np.ndarray]:
+    """Penalized negative log-likelihood and its gradient.
 
-    ``B`` is C x (d+1) with column 0 the intercepts (unpenalized);
-    ``rows`` is ``np.arange(len(y))``.
+    ``w[0]`` is the intercept (unpenalized); ``X`` has no bias column.
     """
-    Z = B[:, 0] + X @ B[:, 1:].T  # N x C
-    Zmax = row_max(Z)
-    logZ = Zmax + np.log(np.exp(Z - Zmax[:, None]).sum(axis=1))
-    nll = float(np.sum(logZ - Z[rows, y]))
-    nll += 0.5 * l2 * float(np.sum(B[:, 1:] ** 2))
-    return nll, Z, logZ
+    return _logistic_terms(w, X, y, l2)[:2]
 
 
-def softmax_grad(B: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
+def _class_sums(E: np.ndarray) -> np.ndarray:
+    """Sum of the C rows of a C x N array, bit-equal to NumPy's row sums of
+    the N x C transpose, ``np.ascontiguousarray(E.T).sum(axis=1)``.
+
+    NumPy sums a contiguous row pairwise: from +0.0, one term at a time
+    below 8 terms; in eight strided accumulators, combined as a tree, up to
+    128; above that, the two halves (the first a multiple of 8) separately.
+    Each step here adds whole length-N rows in that order.
+    """
+    C = len(E)
+    if C < 8:
+        s = E[0] + 0.0
+        for c in range(1, C):
+            s += E[c]
+        return s
+    if C > 128:
+        half = C // 2 - C // 2 % 8
+        return _class_sums(E[:half]) + _class_sums(E[half:])
+    r = E[:8].copy()
+    tail = C - C % 8
+    for i in range(8, tail, 8):
+        r += E[i:i + 8]
+    s = (r[0] + r[1]) + (r[2] + r[3])
+    s += (r[4] + r[5]) + (r[6] + r[7])
+    for c in range(tail, C):
+        s += E[c]
+    s += 0.0  # NumPy adds the sum to a +0.0 start, so -0.0 becomes +0.0
+    return s
+
+
+def softmax_nll(B: np.ndarray, XT: np.ndarray, label_at: np.ndarray,
+                l2: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Penalized multinomial NLL, plus the class-major scores ``ZT`` and the
+    log-partitions ``logZ`` that :func:`softmax_grad` takes.
+
+    ``B`` is C x (d+1) with column 0 the intercepts (unpenalized); ``XT`` is
+    the d x N transposed design and ``label_at`` the flat index of each
+    row's label score in ``ZT`` (see :func:`_class_major_labels`).  Scores are
+    C x N, so every class-wise step runs over length-N rows; the maxima and
+    :func:`_class_sums` give the bits of the row-major N x C code.
+    """
+    ZT = B[:, 1:] @ XT
+    ZT += B[:, :1]
+    Zmax = ZT.max(axis=0)
+    E = ZT - Zmax
+    np.exp(E, out=E)
+    logZ = np.log(_class_sums(E))
+    logZ += Zmax
+    nll = float((logZ - ZT.take(label_at)).sum())
+    nll += 0.5 * l2 * float((B[:, 1:] ** 2).sum())
+    return nll, ZT, logZ
+
+
+def softmax_grad(B: np.ndarray, X: np.ndarray, YT: np.ndarray, ZT: np.ndarray,
                  logZ: np.ndarray, l2: float) -> np.ndarray:
-    """Gradient of the penalized NLL at ``B``, from that point's ``Z`` and
-    ``logZ``; ``Y`` is the N x C one-hot label matrix."""
-    D = np.exp(Z - logZ[:, None]) - Y
+    """Gradient of the penalized NLL at ``B``, from that point's ``ZT`` and
+    ``logZ``; ``X`` is the N x d design and ``YT`` the C x N one-hot labels.
+
+    The residual ``D`` is formed class-major, then copied row-major N x C:
+    the bits of ``D.T @ X`` and ``D.sum(axis=0)`` depend on that layout.
+    """
+    DT = ZT - logZ
+    np.exp(DT, out=DT)
+    DT -= YT
+    D = DT.T.copy()
     G = np.empty_like(B)
     G[:, 0] = D.sum(axis=0)
     G[:, 1:] = D.T @ X + l2 * B[:, 1:]
     return G
 
 
-def _one_hot(y: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.arange(len(y))
-    Y = np.zeros((len(y), n_classes))
-    Y[rows, y] = 1.0
-    return rows, Y
+def _class_major_labels(y: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat index of each row's label in a C x N array, and the C x N
+    one-hot label matrix."""
+    label_at = y * len(y) + np.arange(len(y))
+    YT = np.zeros((n_classes, len(y)))
+    YT.flat[label_at] = 1.0
+    return label_at, YT
 
 
 def softmax_nll_grad(B: np.ndarray, X: np.ndarray, y: np.ndarray,
                      l2: float) -> tuple[float, np.ndarray]:
-    """Penalized multinomial NLL and its gradient at ``B``."""
-    rows, Y = _one_hot(y, len(B))
-    nll, Z, logZ = softmax_nll(B, X, rows, y, l2)
-    return nll, softmax_grad(B, X, Y, Z, logZ, l2)
+    """Penalized multinomial NLL and its gradient at ``B``; ``X`` is N x d."""
+    label_at, YT = _class_major_labels(y, len(B))
+    nll, ZT, logZ = softmax_nll(B, np.ascontiguousarray(X.T), label_at, l2)
+    return nll, softmax_grad(B, X, YT, ZT, logZ, l2)
 
 
 class LogisticRegressionModel(TrainedModel):
@@ -110,15 +173,13 @@ class LogisticRegressionModel(TrainedModel):
         n, d = X.shape
         w = np.zeros(d + 1)
         converged = False
-        nll, g = logistic_nll_grad(w, X, y, l2)
+        Xb = np.column_stack([np.ones(n), X])
+        nll, g, p = _logistic_terms(w, X, y, l2)
         for _ in range(MAX_NEWTON_ITER):
             if np.linalg.norm(g) <= GRAD_TOL:
                 converged = True
                 break
-            z = w[0] + X @ w[1:]
-            p = _sigmoid(z)
             r = np.maximum(p * (1 - p), 1e-12)
-            Xb = np.column_stack([np.ones(n), X])
             H = (Xb * r[:, None]).T @ Xb
             H[1:, 1:] += l2 * np.eye(d)
             try:
@@ -129,11 +190,11 @@ class LogisticRegressionModel(TrainedModel):
             t = 1.0
             for _ in range(30):
                 w_new = w - t * step
-                nll_new, g_new = logistic_nll_grad(w_new, X, y, l2)
+                nll_new, g_new, p_new = _logistic_terms(w_new, X, y, l2)
                 if nll_new <= nll:
                     break
                 t *= 0.5
-            w, nll, g = w_new, nll_new, g_new
+            w, nll, g, p = w_new, nll_new, g_new, p_new
         else:
             converged = np.linalg.norm(g) <= GRAD_TOL
         return cls(spec, train.feature_names, train.class_names, w[0], w[1:],
@@ -164,10 +225,11 @@ class MultinomialLogregModel(TrainedModel):
         sd[sd == 0] = 1.0
         Xs = (train.features - mu) / sd
         y = train.labels
+        XT = np.ascontiguousarray(Xs.T)
+        label_at, YT = _class_major_labels(y, C)
         B = np.zeros((C, train.n_features + 1))
-        rows, Y = _one_hot(y, C)
-        nll, Z, logZ = softmax_nll(B, Xs, rows, y, l2)
-        G = softmax_grad(B, Xs, Y, Z, logZ, l2)
+        nll, ZT, logZ = softmax_nll(B, XT, label_at, l2)
+        G = softmax_grad(B, Xs, YT, ZT, logZ, l2)
         lr = 1.0 / max(len(y), 1)
         converged = False
         for _ in range(MAX_GD_ITER):
@@ -179,7 +241,7 @@ class MultinomialLogregModel(TrainedModel):
             t = lr
             for _ in range(40):
                 B_new = B - t * G
-                nll_new, Z, logZ = softmax_nll(B_new, Xs, rows, y, l2)
+                nll_new, ZT, logZ = softmax_nll(B_new, XT, label_at, l2)
                 if nll_new <= nll:
                     break
                 t *= 0.5
@@ -189,7 +251,7 @@ class MultinomialLogregModel(TrainedModel):
             if nll - nll_new > 0:
                 lr = min(t * 2.0, 1.0)
             B, nll = B_new, nll_new
-            G = softmax_grad(B, Xs, Y, Z, logZ, l2)
+            G = softmax_grad(B, Xs, YT, ZT, logZ, l2)
         coef = np.empty_like(B)
         coef[:, 1:] = B[:, 1:] / sd
         coef[:, 0] = B[:, 0] - coef[:, 1:] @ mu

@@ -1,18 +1,79 @@
-"""Reference softmax code: the NLL/gradient, the multinomial fit loop and the
-softmax scorers that ``genflow.models.linear`` and ``genflow.models.neural``
-replaced, kept unchanged as a test oracle.
+"""Reference linear-model code: the softmax NLL/gradient, the multinomial
+and binary logistic fit loops and the softmax scorers that
+``genflow.models.linear`` and ``genflow.models.neural`` replaced, kept
+unchanged as a test oracle.
 
-Here every backtracking trial computes the full gradient and every softmax
-takes its row maxima with ``Z.max(axis=1)``.  The engine must reproduce
-these coefficients, losses, gradients and scores bit for bit.
+Here every backtracking trial computes the full gradient, every softmax
+works on row-major N x C scores and takes its row maxima with
+``Z.max(axis=1)``, and every Newton iteration recomputes its probabilities
+and bias-augmented design.  The engine must reproduce these coefficients,
+losses, gradients and scores bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+MAX_NEWTON_ITER = 100
 MAX_GD_ITER = 1000
 GRAD_TOL = 1e-6
+
+
+def _sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def logistic_nll_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray,
+                      l2: float) -> tuple[float, np.ndarray]:
+    """Penalized binary NLL and gradient; ``w[0]`` is the intercept."""
+    z = w[0] + X @ w[1:]
+    nll = float(np.sum(np.logaddexp(0.0, z) - y * z))
+    nll += 0.5 * l2 * float(w[1:] @ w[1:])
+    p = _sigmoid(z)
+    g = np.empty_like(w)
+    g[0] = np.sum(p - y)
+    g[1:] = X.T @ (p - y) + l2 * w[1:]
+    return nll, g
+
+
+def fit_logistic(X: np.ndarray, y: np.ndarray,
+                 l2: float) -> tuple[float, np.ndarray, bool]:
+    """``LogisticRegressionModel.fit``'s loop: (intercept, weights, converged)."""
+    y = y.astype(float)
+    n, d = X.shape
+    w = np.zeros(d + 1)
+    converged = False
+    nll, g = logistic_nll_grad(w, X, y, l2)
+    for _ in range(MAX_NEWTON_ITER):
+        if np.linalg.norm(g) <= GRAD_TOL:
+            converged = True
+            break
+        z = w[0] + X @ w[1:]
+        p = _sigmoid(z)
+        r = np.maximum(p * (1 - p), 1e-12)
+        Xb = np.column_stack([np.ones(n), X])
+        H = (Xb * r[:, None]).T @ Xb
+        H[1:, 1:] += l2 * np.eye(d)
+        try:
+            step = np.linalg.solve(H, g)
+        except np.linalg.LinAlgError:
+            step = g
+        t = 1.0
+        for _ in range(30):
+            w_new = w - t * step
+            nll_new, g_new = logistic_nll_grad(w_new, X, y, l2)
+            if nll_new <= nll:
+                break
+            t *= 0.5
+        w, nll, g = w_new, nll_new, g_new
+    else:
+        converged = np.linalg.norm(g) <= GRAD_TOL
+    return w[0], w[1:], converged
 
 
 def softmax_nll_grad(B: np.ndarray, X: np.ndarray, y: np.ndarray,

@@ -1,16 +1,19 @@
-"""The softmax code against the reference in ``tests/linear_reference.py``:
+"""The linear engines against the reference in ``tests/linear_reference.py``:
 equal coefficients (float hex) and convergence flags from the multinomial
-fit, and bit-equal losses, gradients and scores from every softmax site."""
+and binary logistic fits, and bit-equal losses, gradients and scores from
+every softmax site."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from genflow import Dataset
+from genflow import Dataset, make_interleaved_folds, stratified_split
 from genflow.models import ModelSpec, fit_model
 from genflow.models.base import row_max
-from genflow.models.linear import MultinomialLogregModel, softmax_nll_grad
+from genflow.models.linear import MultinomialLogregModel, _class_sums, softmax_nll_grad
 from genflow.models.neural import NeuralNetModel, nn_loss_grad
 from tests import linear_reference as reference
+from tests.conftest import make_imbalanced6, make_multiclass
 
 # Entries that exercise the row maxima: signed zeros, infinities, ties.
 SPECIAL = np.array([-0.0, 0.0, np.inf, -np.inf, 1.0, -1.0, 2.5])
@@ -52,6 +55,36 @@ def test_multinomial_fit_matches_reference(task):
     assert model.converged == converged
 
 
+def six_class_fold() -> Dataset:
+    """The 574 x 5 six-class fold ``scripts/bench_fits.py`` times: the 30%
+    stratified training split of the seed-0 six-class set, restricted to the
+    fit rows of the first of its five folds that hold every class."""
+    train = stratified_split(make_imbalanced6(2400, seed=0), 0.30, 0).train
+    for fit_rows, _ in make_interleaved_folds(train, 5, 0).folds():
+        if len(np.unique(train.labels[fit_rows])) == train.n_classes:
+            fold = train.restrict_rows(fit_rows)
+            assert fold.features.shape == (574, 5)
+            return fold
+    raise AssertionError("no fold's fit rows hold every class")
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(six_class_fold, id="six-class-fold-574x5-C6"),
+    pytest.param(lambda: make_multiclass(n=600, d=5, n_classes=9, sep=1.5, seed=9),
+                 id="n600-C9"),
+    pytest.param(lambda: make_multiclass(n=604, d=4, n_classes=12, sep=1.0, seed=12),
+                 id="n604-C12"),
+])
+def test_fold_sized_multinomial_fit_matches_reference(data):
+    data = data()
+    assert set(data.labels.tolist()) == set(range(data.n_classes))
+    model = fit_model(ModelSpec("multinomial_logreg", {"l2": 1e-6}), data)
+    coef, converged = reference.fit_multinomial(data.features, data.labels,
+                                                data.n_classes, 1e-6)
+    assert hexes(model.coef) == hexes(coef)
+    assert model.converged == converged
+
+
 @settings(max_examples=60, deadline=None)
 @given(task=softmax_tasks(max_rows=200), scale=st.sampled_from([0.0, 0.1, 3.0, 40.0]))
 def test_nll_grad_composition_matches_reference(task, scale):
@@ -71,6 +104,68 @@ def test_row_max_equals_numpy_max(n, C, seed):
     # Equal values; the sign of a zero maximum is not pinned (see row_max).
     np.testing.assert_array_equal(row_max(Z), Z.max(axis=1))
     assert row_max(Z[:, ::-1]).tolist() == Z.max(axis=1).tolist()
+
+
+# exp of a large negative score underflows to 0.0; the rest are a negative
+# zero, the smallest subnormal, an overflowed score and its negation.
+SUM_SPECIAL = np.array([float(np.exp(-800.0)), -0.0, 5e-324, np.inf, -np.inf])
+
+
+@settings(max_examples=150, deadline=None)
+@given(C=st.integers(2, 700), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       special=st.floats(0.0, 0.5), zero_column=st.booleans())
+@example(C=7, n=3, seed=0, special=0.0, zero_column=True)
+@example(C=8, n=3, seed=1, special=0.3, zero_column=True)
+@example(C=128, n=3, seed=2, special=0.0, zero_column=False)
+@example(C=129, n=3, seed=3, special=0.1, zero_column=True)
+@example(C=700, n=3, seed=4, special=0.0, zero_column=False)
+def test_class_sums_follow_numpy_order(C, n, seed, special, zero_column):
+    """Magnitudes 1e-17..1e2 make every reordering of a sum visible, so a
+    NumPy release that sums rows in another order fails here.  A column of
+    -0.0 sums to +0.0 in NumPy."""
+    rng = np.random.default_rng(seed)
+    E = rng.random((C, n)) * 10.0 ** rng.integers(-17, 3, size=(C, n))
+    hit = rng.random((C, n)) < special
+    E[hit] = rng.choice(SUM_SPECIAL, size=int(hit.sum()))
+    if zero_column:
+        E[:, -1] = -0.0
+    with np.errstate(invalid="ignore"):
+        got = _class_sums(E)
+        want = np.ascontiguousarray(E.T).sum(axis=1)
+    assert hexes(got) == hexes(want), "NumPy's row-sum order changed; update _class_sums"
+
+
+@st.composite
+def logistic_tasks(draw):
+    """n 2-300 rows of d 1-9 features with both labels present, separable
+    or overlapping, some columns constant."""
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * draw(st.sampled_from([0.1, 1.0, 30.0]))
+    if draw(st.booleans()):  # separable on a random direction
+        y = (X @ rng.normal(size=d) > 0).astype(int)
+    else:
+        y = (rng.random(n) < draw(st.floats(0.1, 0.9))).astype(int)
+        X[:, 0] += draw(st.floats(0.0, 2.0)) * y
+    y[:2] = (0, 1)
+    for j in range(d):
+        if draw(st.integers(0, 3)) == 0:
+            X[:, j] = draw(st.sampled_from([0.0, 1.0, -4.5]))
+    l2 = draw(st.sampled_from([1e-6, 1e-3, 1.0]))
+    return X, y, l2
+
+
+@settings(max_examples=80, deadline=None)
+@given(task=logistic_tasks())
+def test_logistic_fit_matches_reference(task):
+    X, y, l2 = task
+    data = Dataset(X, y, tuple(f"f{j}" for j in range(X.shape[1])), ("a", "b"), "toy")
+    model = fit_model(ModelSpec("logreg", {"l2": l2}), data)
+    intercept, weights, converged = reference.fit_logistic(X, y, l2)
+    assert model.intercept.hex() == float(intercept).hex()
+    assert hexes(model.weights) == hexes(weights)
+    assert model.converged == converged
 
 
 @st.composite
