@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 import traceback
+from pathlib import Path
 
 from .dataset import DataError, load_dataset
 from .flow import FlowConfig, load_hierarchy_spec, run_flow
@@ -96,6 +97,10 @@ def main(argv=None) -> int:
             decision3_metric=args.decision3_metric,
             folds_positional=args.folds_positional,
         )
+        out = Path(args.out)
+        nearest = next((p for p in (out, *out.parents) if p.exists()), out)
+        if not nearest.is_dir():
+            raise DataError(f"--out {args.out}: {nearest} is not a directory")
     except DataError as exc:
         print(f"genflow: data error: {exc}", file=sys.stderr)
         return EXIT_DATA

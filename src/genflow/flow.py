@@ -71,6 +71,7 @@ __all__ = [
     "decision_hierarchy",
     "run_flow",
     "load_hierarchy_spec",
+    "file_stem",
 ]
 
 # Ranking method -> scorer(train, bin_count); names are looked up per call.
@@ -138,9 +139,23 @@ class HierarchyLevel:
             raise DataError(f"hierarchy level {self.name!r}: overlapping label sets")
 
 
+def file_stem(task_name: str) -> str:
+    """The stem of a task's bundle file names: each character that is not
+    alphanumeric becomes ``_``."""
+    return "".join(c if c.isalnum() else "_" for c in task_name)
+
+
 @dataclass(frozen=True)
 class HierarchySpec:
     levels: tuple[HierarchyLevel, ...]
+
+    def __post_init__(self):
+        # A level's files are named by file_stem("hierarchy:" + name), which maps
+        # each character alone, so levels collide exactly when their names' stems do.
+        stems = [file_stem(lv.name) for lv in self.levels]
+        if clash := [lv.name for lv, s in zip(self.levels, stems) if stems.count(s) > 1]:
+            raise DataError(f"hierarchy levels {clash} would write the same bundle "
+                            "files; give each level a name of its own")
 
     def validate_for(self, n_classes: int) -> None:
         for lv in self.levels:
@@ -175,14 +190,13 @@ def load_hierarchy_spec(path) -> HierarchySpec:
         if not isinstance(rec, dict):
             raise DataError(f"{path}: bad level record {i}: expected a JSON object, "
                             f"got {rec!r}")
-        try:
-            levels.append(HierarchyLevel(
-                name=str(rec.get("name", f"level {i + 1}")),
-                positive=tuple(int(c) for c in rec["positive"]),
-                negative=tuple(int(c) for c in rec["negative"]),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: bad level record {i}: {exc}") from exc
+        name = str(rec.get("name", f"level {i + 1}"))
+        sides = [rec.get("positive"), rec.get("negative")]
+        if not all(isinstance(s, list) and all(type(c) is int for c in s) for s in sides):
+            raise DataError(f"{path}: bad level record {i}, level {name!r}: 'positive'"
+                            " and 'negative' must be lists of integer class ids, "
+                            f"got {sides}")
+        levels.append(HierarchyLevel(name, *map(tuple, sides)))
     return HierarchySpec(tuple(levels))
 
 
@@ -356,8 +370,7 @@ def combine_level_metrics(per_level: list[EvalMetrics]) -> dict:
     """
     if not per_level:
         raise DataError("no hierarchy levels to combine")
-    acc = [m.accuracy[1] if m.accuracy is not None else m.micro_accuracy
-           for m in per_level]
+    acc = [m.accuracy[1] for m in per_level]
     prec = [m.precision[1] for m in per_level]
     rec = [m.recall[1] for m in per_level]
     return {

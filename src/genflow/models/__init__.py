@@ -132,8 +132,6 @@ def validate_spec(family: str, hyperparameters: dict) -> None:
 def fit_model(spec: ModelSpec, train: Dataset) -> TrainedModel:
     """Fit any family; deterministic given (spec, train)."""
     family = FAMILIES[spec.family]
-    if family.ova_base:
-        return OneVsAllModel.fit(spec, train, family.ova_base, fit_model)
     if family.binary_only and train.n_classes != 2:
         raise ModelError(f"{spec.family} requires a binary dataset (C=2), "
                          f"got C={train.n_classes}")

@@ -16,6 +16,9 @@ __all__ = [
     "decode_array",
     "document_field",
     "row_max",
+    "softmax_rows",
+    "squash",
+    "standardize",
 ]
 
 
@@ -48,17 +51,32 @@ class ModelSpec:
 class TrainedModel:
     """Base for all fitted predictors.
 
-    Subclasses implement ``_positive_scores`` (binary families, P(class 1)
-    per row) or override ``score_matrix`` (multi-class families).
+    A model class is its ``PAYLOAD``, the names of its learned parameters;
+    a classmethod ``fit(spec, train)`` that ends in ``cls(spec,
+    feature_names, class_names, *payload, converged=...)``; and a scorer,
+    ``_positive_scores`` (binary families, P(class 1) per row) or
+    ``score_matrix`` (multi-class families).  The constructor stores the
+    payload as attributes of those names: integer arrays stay integer,
+    0-d values become Python floats, anything else a float64 array.
     Instances are immutable by convention after ``fit``.
     """
 
+    PAYLOAD: tuple[str, ...] = ()
+
     def __init__(self, spec: ModelSpec, feature_names: tuple[str, ...],
-                 class_names: tuple[str, ...]):
+                 class_names: tuple[str, ...], *payload, converged=True):
+        if len(payload) != len(self.PAYLOAD):
+            raise TypeError(f"{type(self).__name__} takes the {len(self.PAYLOAD)} "
+                            f"payload values {self.PAYLOAD}, got {len(payload)}")
         self.spec = spec
         self.feature_names = tuple(feature_names)
         self.class_names = tuple(class_names)
-        self.converged = True
+        self.converged = bool(converged)  # a NumPy bool is not JSON
+        for name, value in zip(self.PAYLOAD, payload):
+            arr = np.asarray(value)
+            if arr.dtype.kind != "i":
+                arr = float(arr) if arr.ndim == 0 else np.asarray(arr, dtype=float)
+            setattr(self, name, arr)
 
     def _check_schema(self, data: Dataset) -> None:
         if data.feature_names != self.feature_names:
@@ -85,23 +103,19 @@ class TrainedModel:
     def predict_labels(self, data: Dataset) -> np.ndarray:
         return np.argmax(self.predict_scores(data), axis=1)
 
-    # Serialization: the learned parameters are the constructor arguments
-    # named in PAYLOAD, saved as arrays in that order.  Only the one-vs-all
-    # model, whose parameters are whole member models, overrides
+    # Serialization: the payload attributes, saved as arrays in PAYLOAD
+    # order and passed back to the constructor in that order.  Only the
+    # one-vs-all model, whose parameters are whole member models, overrides
     # ``_payload`` and ``from_payload``.
-    PAYLOAD: tuple[str, ...] = ()
-
     def _payload(self) -> dict:
         return {k: encode_array(getattr(self, k)) for k in self.PAYLOAD}
 
     @classmethod
     def from_payload(cls, spec, feature_names, class_names, payload, converged=True):
         where = f"{spec.family} model document parameters"
-        model = cls(spec, feature_names, class_names,
-                    **{k: document_field(where, payload, k, decode_array)
-                       for k in cls.PAYLOAD})
-        model.converged = converged
-        return model
+        return cls(spec, feature_names, class_names, *(
+            document_field(where, payload, k, decode_array) for k in cls.PAYLOAD),
+            converged=converged)
 
     def to_document(self) -> dict:
         return {
@@ -121,15 +135,36 @@ def row_max(Z: np.ndarray) -> np.ndarray:
     NumPy's ``Z.max(axis=1)`` is slow on narrow rows.  Maximum is exact,
     so the values are equal; for C >= 9 the sign of a zero maximum may
     differ, which no softmax shifted by it can see (exp(+-0) = 1).  Its
-    callers are the row-major softmax sites: the neural net's multi-class
-    loss and the two ``score_matrix`` methods (neural net, multinomial
-    logistic regression); the multinomial fit is class-major and takes
-    ``ZT.max(axis=0)``.
+    callers are the row-major softmax sites: :func:`softmax_rows` and the
+    neural net's multi-class loss, ``nn_loss_grad``; the multinomial fit is
+    class-major and takes ``ZT.max(axis=0)``.
     """
     m = Z[:, 0].copy()
     for c in range(1, Z.shape[1]):
         np.maximum(m, Z[:, c], out=m)
     return m
+
+
+def softmax_rows(Z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of an N x C score matrix; shifts ``Z`` in place."""
+    Z -= row_max(Z)[:, None]
+    E = np.exp(Z)
+    return E / E.sum(axis=1, keepdims=True)
+
+
+def squash(z: np.ndarray) -> np.ndarray:
+    """The logistic map 1 / (1 + exp(-z)), with z clipped to [-500, 500] so
+    ``exp`` cannot overflow."""
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+
+def standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(X - mu) / sd`` per column, with ``mu`` and ``sd``; a constant
+    column keeps scale 1."""
+    mu = X.mean(axis=0)
+    sd = X.std(axis=0)
+    sd[sd == 0] = 1.0
+    return (X - mu) / sd, mu, sd
 
 
 def encode_array(a: np.ndarray) -> dict:

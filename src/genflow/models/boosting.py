@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import Dataset
-from .base import ModelSpec
+from .base import ModelSpec, squash
 from .tree import NodeTable, TreeEnsemble, grow_regression_tree, presort, tree_predict
 
 __all__ = ["BoostedTreeModel"]
@@ -23,12 +23,7 @@ def _logistic_loss(margin: np.ndarray, y: np.ndarray) -> float:
 
 class BoostedTreeModel(TreeEnsemble):
     PAYLOAD = TreeEnsemble.PAYLOAD + ("base_score",)
-
-    def __init__(self, spec, feature_names, class_names, base_score, loss_curve=None,
-                 **table):
-        super().__init__(spec, feature_names, class_names, **table)
-        self.base_score = float(base_score)
-        self.loss_curve = loss_curve or []
+    loss_curve: list[float] = []  # training loss per round; set by fit, not saved
 
     @classmethod
     def fit(cls, spec: ModelSpec, train: Dataset) -> "BoostedTreeModel":
@@ -68,8 +63,10 @@ class BoostedTreeModel(TreeEnsemble):
             loss = new_loss
             roots.append(root)
             curve.append(loss)
-        return cls(spec, train.feature_names, train.class_names, base, curve,
-                   roots=roots, **table.columns())
+        model = cls(spec, train.feature_names, train.class_names, roots,
+                    *table.columns().values(), base)
+        model.loss_curve = curve
+        return model
 
     def _margins(self, X: np.ndarray) -> np.ndarray:
         lr = float(self.spec.param("learning_rate", 0.1))
@@ -80,4 +77,4 @@ class BoostedTreeModel(TreeEnsemble):
         return m
 
     def _positive_scores(self, X: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-np.clip(self._margins(X), -500, 500)))
+        return squash(self._margins(X))

@@ -24,7 +24,8 @@ class DecisionForestModel(TreeEnsemble):
             rows = rng.integers(0, len(y), size=len(y))  # bootstrap
             roots.append(grow_random_classification_tree(
                 X[rows], y[rows], C, split_count, depth, rng, table))
-        return cls(spec, train.feature_names, train.class_names, roots, **table.columns())
+        return cls(spec, train.feature_names, train.class_names, roots,
+                   *table.columns().values())
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
         # Hard vote per tree (the most popular class), averaged.

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import Dataset
-from .base import DEFAULT_L2, ModelSpec, TrainedModel, row_max
+from .base import DEFAULT_L2, ModelSpec, TrainedModel, softmax_rows, standardize
 
 __all__ = [
     "LogisticRegressionModel",
@@ -158,13 +158,6 @@ class LogisticRegressionModel(TrainedModel):
 
     PAYLOAD = ("intercept", "weights")
 
-    def __init__(self, spec, feature_names, class_names, intercept, weights,
-                 converged=True):
-        super().__init__(spec, feature_names, class_names)
-        self.intercept = float(intercept)
-        self.weights = np.asarray(weights, dtype=float)
-        self.converged = converged
-
     @classmethod
     def fit(cls, spec: ModelSpec, train: Dataset) -> "LogisticRegressionModel":
         X = train.features
@@ -198,7 +191,7 @@ class LogisticRegressionModel(TrainedModel):
         else:
             converged = np.linalg.norm(g) <= GRAD_TOL
         return cls(spec, train.feature_names, train.class_names, w[0], w[1:],
-                   converged)
+                   converged=converged)
 
     def _positive_scores(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.intercept + X @ self.weights)
@@ -207,12 +200,7 @@ class LogisticRegressionModel(TrainedModel):
 class MultinomialLogregModel(TrainedModel):
     """Softmax regression: P(class i | x) proportional to exp(B_i . x)."""
 
-    PAYLOAD = ("coef",)
-
-    def __init__(self, spec, feature_names, class_names, coef, converged=True):
-        super().__init__(spec, feature_names, class_names)
-        self.coef = np.asarray(coef, dtype=float)  # C x (d+1), col 0 = intercepts
-        self.converged = converged
+    PAYLOAD = ("coef",)  # C x (d+1), column 0 the intercepts
 
     @classmethod
     def fit(cls, spec: ModelSpec, train: Dataset) -> "MultinomialLogregModel":
@@ -220,10 +208,7 @@ class MultinomialLogregModel(TrainedModel):
         C = train.n_classes
         # Standardize for gradient-descent conditioning, then fold the
         # scaling back into the coefficients so prediction uses raw x.
-        mu = train.features.mean(axis=0)
-        sd = train.features.std(axis=0)
-        sd[sd == 0] = 1.0
-        Xs = (train.features - mu) / sd
+        Xs, mu, sd = standardize(train.features)
         y = train.labels
         XT = np.ascontiguousarray(Xs.T)
         label_at, YT = _class_major_labels(y, C)
@@ -255,10 +240,8 @@ class MultinomialLogregModel(TrainedModel):
         coef = np.empty_like(B)
         coef[:, 1:] = B[:, 1:] / sd
         coef[:, 0] = B[:, 0] - coef[:, 1:] @ mu
-        return cls(spec, train.feature_names, train.class_names, coef, converged)
+        return cls(spec, train.feature_names, train.class_names, coef,
+                   converged=converged)
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
-        Z = self.coef[:, 0] + X @ self.coef[:, 1:].T
-        Z -= row_max(Z)[:, None]
-        E = np.exp(Z)
-        return E / E.sum(axis=1, keepdims=True)
+        return softmax_rows(self.coef[:, 0] + X @ self.coef[:, 1:].T)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import Dataset, encode_sign_labels
-from .base import ModelSpec, TrainedModel
+from .base import ModelSpec, TrainedModel, squash, standardize
 
 __all__ = ["LssvmModel", "peak_bytes", "rbf_kernel"]
 
@@ -67,27 +67,14 @@ def peak_bytes(n_fit: int, n_score: int) -> int:
 
 
 class LssvmModel(TrainedModel):
-    PAYLOAD = ("support", "signs", "alpha", "bias", "mu", "sd")
-
-    def __init__(self, spec, feature_names, class_names, support, signs,
-                 alpha, bias, mu, sd):
-        super().__init__(spec, feature_names, class_names)
-        self.support = np.asarray(support, dtype=float)   # standardized rows
-        self.signs = np.asarray(signs, dtype=float)
-        self.alpha = np.asarray(alpha, dtype=float)
-        self.bias = float(bias)
-        self.mu = np.asarray(mu, dtype=float)
-        self.sd = np.asarray(sd, dtype=float)
+    PAYLOAD = ("support", "signs", "alpha", "bias", "mu", "sd")  # support is standardized
 
     @classmethod
     def fit(cls, spec: ModelSpec, train: Dataset) -> "LssvmModel":
         lam = float(spec.param("lambda", 1e-6))
         gamma = float(spec.param("kernel_gamma", 1.0 / train.n_features))
         y = encode_sign_labels(train).astype(float)
-        mu = train.features.mean(axis=0)
-        sd = train.features.std(axis=0)
-        sd[sd == 0] = 1.0
-        Xs = (train.features - mu) / sd
+        Xs, mu, sd = standardize(train.features)
         sol = np.linalg.solve(*_dual_system(Xs, y, gamma, lam))
         return cls(spec, train.feature_names, train.class_names,
                    Xs, y, sol[1:], sol[0], mu, sd)
@@ -99,8 +86,7 @@ class LssvmModel(TrainedModel):
         return K @ (self.alpha * self.signs) + self.bias
 
     def _positive_scores(self, X: np.ndarray) -> np.ndarray:
-        f = self.decision_values(X)
-        return 1.0 / (1.0 + np.exp(-np.clip(f, -500, 500)))
+        return squash(self.decision_values(X))
 
     def system_residual(self) -> float:
         """Relative residual of the dual linear system at the fitted solution."""

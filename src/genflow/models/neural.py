@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import Dataset
-from .base import ModelSpec, TrainedModel, row_max
+from .base import ModelSpec, TrainedModel, row_max, softmax_rows, squash, standardize
 
 __all__ = ["NeuralNetModel", "nn_loss_grad"]
 
@@ -32,7 +32,7 @@ def nn_loss_grad(W1, b1, W2, b2, X, y, n_classes):
     if n_classes == 2 and W2.shape[1] == 1:
         z = Z[:, 0]
         loss = float(np.sum(np.logaddexp(0.0, z) - y * z))
-        p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+        p = squash(z)
         dZ = (p - y)[:, None]
     else:
         Zs = Z - row_max(Z)[:, None]
@@ -52,24 +52,13 @@ def nn_loss_grad(W1, b1, W2, b2, X, y, n_classes):
 class NeuralNetModel(TrainedModel):
     PAYLOAD = ("W1", "b1", "W2", "b2", "mu", "sd")
 
-    def __init__(self, spec, feature_names, class_names, W1, b1, W2, b2,
-                 mu, sd, converged=True):
-        super().__init__(spec, feature_names, class_names)
-        self.W1, self.b1 = np.asarray(W1, float), np.asarray(b1, float)
-        self.W2, self.b2 = np.asarray(W2, float), np.asarray(b2, float)
-        self.mu, self.sd = np.asarray(mu, float), np.asarray(sd, float)
-        self.converged = converged
-
     @classmethod
     def fit(cls, spec: ModelSpec, train: Dataset) -> "NeuralNetModel":
         lr = float(spec.param("learning_rate", 0.04))
         hidden = int(spec.param("hidden_nodes", 100))
         C = train.n_classes
         out_dim = 1 if C == 2 else C
-        mu = train.features.mean(axis=0)
-        sd = train.features.std(axis=0)
-        sd[sd == 0] = 1.0
-        X = (train.features - mu) / sd
+        X, mu, sd = standardize(train.features)
         y = train.labels
         rng = np.random.default_rng(spec.seed)
         d = train.n_features
@@ -92,15 +81,13 @@ class NeuralNetModel(TrainedModel):
             W2 = W2 - lr / n * gW2
             b2 = b2 - lr / n * gb2
         return cls(spec, train.feature_names, train.class_names,
-                   W1, b1, W2, b2, mu, sd, converged)
+                   W1, b1, W2, b2, mu, sd, converged=converged)
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
         Xs = (X - self.mu) / self.sd
         H = np.tanh(Xs @ self.W1 + self.b1)
         Z = H @ self.W2 + self.b2
         if self.W2.shape[1] == 1:
-            p = 1.0 / (1.0 + np.exp(-np.clip(Z[:, 0], -500, 500)))
+            p = squash(Z[:, 0])
             return np.column_stack([1.0 - p, p])
-        Z -= row_max(Z)[:, None]
-        E = np.exp(Z)
-        return E / E.sum(axis=1, keepdims=True)
+        return softmax_rows(Z)

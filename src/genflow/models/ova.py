@@ -15,13 +15,17 @@ __all__ = ["OneVsAllModel"]
 
 class OneVsAllModel(TrainedModel):
     def __init__(self, spec, feature_names, class_names, members):
-        super().__init__(spec, feature_names, class_names)
+        super().__init__(spec, feature_names, class_names,
+                         converged=all(m.converged for m in members))
         self.members = list(members)
-        self.converged = all(m.converged for m in members)
 
     @classmethod
-    def fit(cls, spec: ModelSpec, train: Dataset,
-            binary_family: str, fit_binary) -> "OneVsAllModel":
+    def fit(cls, spec: ModelSpec, train: Dataset) -> "OneVsAllModel":
+        """Member c is the family's ``ova_base`` fit on class c vs the rest,
+        seeded ``spec.seed + c``."""
+        from . import FAMILIES, fit_model  # the registry imports this module
+
+        base = FAMILIES[spec.family].ova_base
         counts = train.class_counts()
         if (counts == 0).any():
             empty = int(np.argmin(counts))
@@ -33,9 +37,8 @@ class OneVsAllModel(TrainedModel):
                 labels=(train.labels == c).astype(int),
                 class_names=("rest", train.class_names[c]),
             )
-            sub_spec = ModelSpec(binary_family, dict(spec.hyperparameters),
-                                 seed=spec.seed + c)
-            members.append(fit_binary(sub_spec, view))
+            sub_spec = ModelSpec(base, dict(spec.hyperparameters), seed=spec.seed + c)
+            members.append(fit_model(sub_spec, view))
         return cls(spec, train.feature_names, train.class_names, members)
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:

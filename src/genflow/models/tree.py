@@ -84,16 +84,6 @@ class TreeEnsemble(TrainedModel):
 
     PAYLOAD = ("roots",) + _COLUMNS
 
-    def __init__(self, spec, feature_names, class_names, roots, feature, threshold,
-                 left, right, value):
-        super().__init__(spec, feature_names, class_names)
-        self.roots = np.asarray(roots, dtype=np.intp)
-        self.feature = np.asarray(feature, dtype=np.intp)
-        self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.intp)
-        self.right = np.asarray(right, dtype=np.intp)
-        self.value = np.asarray(value, dtype=float)
-
 
 def presort(X: np.ndarray) -> np.ndarray:
     """Row indices sorted by each feature, shape (d, n); ties keep row order."""

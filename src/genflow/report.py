@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flow import FlowReport, TaskResult
+from .flow import FlowReport, TaskResult, file_stem
 from .metrics import EvalMetrics
 
 __all__ = ["emit_bundle", "report_body"]
@@ -96,10 +96,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         for row in rows:
             fh.write(",".join(f"{v:.10g}" if isinstance(v, float) else str(v)
                               for v in row) + "\n")
-
-
-def _slug(name: str) -> str:
-    return "".join(c if c.isalnum() else "_" for c in name)
 
 
 # ---------------------------------------------------------------- SVG plots
@@ -213,7 +209,7 @@ def emit_bundle(report: FlowReport, out_dir) -> list[Path]:
     written = [path]
 
     for task in report.tasks():
-        slug = _slug(task.name)
+        slug = file_stem(task.name)
         for method, curve in task.dim.curves.items():
             path = out / "curves" / f"dimsweep_{slug}_{method}.csv"
             _write_csv(path, ["method", "k", "mean_cv_accuracy"],

@@ -280,3 +280,41 @@ class TestBinCount:
         assert main(argv) == 2
         assert "bin_count" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestRefusedBeforeSplit:
+    """Bundle paths that cannot be written are data errors raised before the
+    split, so no model is fitted."""
+
+    def test_out_naming_a_file_exit_2(self, tmp_path, monkeypatch, capsys):
+        forbid_fits(monkeypatch)
+        data = write_toy_csv(tmp_path / "toy.csv")
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        for out in (blocker, blocker / "sub"):
+            argv = ["--data", str(data), "--label-col", "label", "--grid-preset",
+                    "thin", "--families", "logreg", "--out", str(out)]
+            assert main(argv) == 2
+            assert "is not a directory" in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_colliding_level_names_refused_by_run_flow(self, monkeypatch):
+        forbid_fits(monkeypatch)
+        with pytest.raises(DataError, match=r"\['lv-2', 'lv_2'\]"):
+            run_flow(make_multiclass(n=120, seed=1), fast_config(
+                candidate_families=("multinomial_logreg", "logreg"),
+                hierarchy=HierarchySpec((HierarchyLevel("lv-2", (0,), (1, 2)),
+                                         HierarchyLevel("lv_2", (1,), (2,))))))
+
+    @pytest.mark.parametrize("names", [("lv-2", "lv_2"), ("twin", "twin")])
+    def test_colliding_level_names_exit_2(self, tmp_path, monkeypatch, capsys, names):
+        forbid_fits(monkeypatch)
+        data = write_toy_csv(tmp_path / "toy.csv")
+        h = tmp_path / "h.json"
+        h.write_text(f'[{{"name": "{names[0]}", "positive": [0], "negative": [1]}}, '
+                     f'{{"name": "{names[1]}", "positive": [1], "negative": [0]}}]')
+        argv = ["--data", str(data), "--label-col", "label", "--grid-preset", "thin",
+                "--hierarchy", str(h), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "same bundle files" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -203,6 +203,20 @@ class TestHierarchySpecValidation:
         with pytest.raises(DataError, match="bad level record"):
             load_hierarchy_spec(p)
 
+    @pytest.mark.parametrize("positive", ['"12"', "[3.9]", "[true]", "7"])
+    def test_load_rejects_non_integer_ids(self, tmp_path, positive):
+        p = tmp_path / "h.json"
+        p.write_text('[{"name": "top", "positive": [0], "negative": [1]}, '
+                     f'{{"name": "odd", "positive": {positive}, "negative": [2]}}]')
+        with pytest.raises(DataError, match="level 'odd'.*integer class ids"):
+            load_hierarchy_spec(p)
+
+    @pytest.mark.parametrize("second", ["lv-2", "lv_2", "lv 2"])
+    def test_colliding_level_names_rejected(self, second):
+        with pytest.raises(DataError, match="same bundle files"):
+            HierarchySpec((HierarchyLevel("lv_2", (0,), (1,)),
+                           HierarchyLevel(second, (2,), (1,))))
+
 
 class TestRunFlowBinary:
     def test_end_to_end_shape(self):

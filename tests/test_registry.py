@@ -106,3 +106,44 @@ class TestRecords:
         assert fit_one_vs_all("lssvm", {}, ds).spec.family == "ova_svm"
         with pytest.raises(ModelError, match="no one-vs-all family over 'neural_net'"):
             fit_one_vs_all("neural_net", {}, ds)
+
+
+class TestOneShape:
+    """A model class is its PAYLOAD, its ``fit(spec, train)`` and a scorer;
+    ``TrainedModel`` is the one constructor."""
+
+    @pytest.mark.parametrize("name", ["ova_logreg", "ova_boosted_tree", "ova_svm"])
+    def test_ova_fits_through_its_record(self, name):
+        ds = toy(24, 3, 3, seed=5)
+        point = next(grid_points(FAMILIES[name].thin_grid))
+        spec = _resolve_spec(name, point, 3, seed=2)
+        direct = FAMILIES[name].model.fit(spec, ds)
+        assert direct.to_document() == fit_model(spec, ds).to_document()
+        assert [m.spec.seed for m in direct.members] == [2, 3, 4]
+
+    def test_payload_count_mismatch_is_type_error(self):
+        from genflow.models.linear import LogisticRegressionModel
+        with pytest.raises(TypeError, match="intercept"):
+            LogisticRegressionModel(ModelSpec("logreg"), ("f0",), ("a", "b"), 0.5)
+
+    def test_payload_storage_types(self):
+        ds = toy(20, 2, 2, seed=1)
+        boost = fit_model(ModelSpec("boosted_tree", {"trees": 3, "leaves": 2}), ds)
+        assert type(boost.base_score) is float
+        assert boost.roots.dtype == np.intp and boost.threshold.dtype == float
+        assert len(boost.loss_curve) == 4
+        loaded = model_from_document(json.loads(json.dumps(boost.to_document())))
+        assert loaded.loss_curve == [] and type(loaded.base_score) is float
+        assert loaded.feature.dtype == np.intp
+        logreg = fit_model(ModelSpec("logreg"), ds)
+        assert type(logreg.intercept) is float and logreg.weights.dtype == float
+
+    def test_unconverged_fit_serializes(self, monkeypatch):
+        """A Newton loop that runs out of iterations reads its flag from a
+        NumPy comparison; the document must still be JSON."""
+        from genflow.models import linear
+        monkeypatch.setattr(linear, "MAX_NEWTON_ITER", 1)
+        model = fit_model(ModelSpec("logreg"), toy(20, 2, 2, seed=1))
+        doc = json.loads(json.dumps(model.to_document()))
+        assert doc["converged"] is False
+        assert model_from_document(doc).converged is False
