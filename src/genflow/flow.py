@@ -145,6 +145,11 @@ def file_stem(task_name: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in task_name)
 
 
+# File systems cap a file name at 255 bytes.  A level's longest bundle file
+# name is dimsweep_hierarchy_<stem>_<method>.csv, so this caps its stem.
+MAX_LEVEL_STEM_BYTES = 255 - len("dimsweep_hierarchy__.csv") - max(map(len, _RANKERS))
+
+
 @dataclass(frozen=True)
 class HierarchySpec:
     levels: tuple[HierarchyLevel, ...]
@@ -156,6 +161,12 @@ class HierarchySpec:
         if clash := [lv.name for lv, s in zip(self.levels, stems) if stems.count(s) > 1]:
             raise DataError(f"hierarchy levels {clash} would write the same bundle "
                             "files; give each level a name of its own")
+        # isalnum keeps non-ASCII letters, so a stem is measured in UTF-8 bytes.
+        for lv, s in zip(self.levels, stems):
+            if (size := len(s.encode())) > MAX_LEVEL_STEM_BYTES:
+                raise DataError(f"hierarchy level {lv.name[:40]!r}... names bundle files "
+                                f"over 255 bytes: its file stem is {size} bytes, at most "
+                                f"{MAX_LEVEL_STEM_BYTES} fit")
 
     def validate_for(self, n_classes: int) -> None:
         for lv in self.levels:

@@ -15,6 +15,7 @@ __all__ = [
     "encode_array",
     "decode_array",
     "document_field",
+    "logistic_loss",
     "row_max",
     "softmax_rows",
     "squash",
@@ -150,6 +151,12 @@ def softmax_rows(Z: np.ndarray) -> np.ndarray:
     Z -= row_max(Z)[:, None]
     E = np.exp(Z)
     return E / E.sum(axis=1, keepdims=True)
+
+
+def logistic_loss(z: np.ndarray, y: np.ndarray) -> float:
+    """Summed logistic loss sum(log(1 + exp(z)) - y z) of margins ``z``
+    against 0/1 targets ``y``, computed stably."""
+    return float(np.sum(np.logaddexp(0.0, z) - y * z))
 
 
 def squash(z: np.ndarray) -> np.ndarray:

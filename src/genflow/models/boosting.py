@@ -11,14 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import Dataset
-from .base import ModelSpec, squash
+from .base import ModelSpec, logistic_loss as _logistic_loss, squash
 from .tree import NodeTable, TreeEnsemble, grow_regression_tree, presort, tree_predict
 
 __all__ = ["BoostedTreeModel"]
-
-
-def _logistic_loss(margin: np.ndarray, y: np.ndarray) -> float:
-    return float(np.sum(np.logaddexp(0.0, margin) - y * margin))
 
 
 class BoostedTreeModel(TreeEnsemble):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import Dataset
-from .base import DEFAULT_L2, ModelSpec, TrainedModel, softmax_rows, standardize
+from .base import DEFAULT_L2, ModelSpec, TrainedModel, logistic_loss, softmax_rows, standardize
 
 __all__ = [
     "LogisticRegressionModel",
@@ -46,8 +46,7 @@ def _logistic_terms(w: np.ndarray, X: np.ndarray, y: np.ndarray,
     """:func:`logistic_nll_grad` plus the probabilities ``p`` at ``w``, which
     the Newton step's weights reuse."""
     z = w[0] + X @ w[1:]
-    # log(1 + exp(z)) - y*z, computed stably
-    nll = float(np.sum(np.logaddexp(0.0, z) - y * z))
+    nll = logistic_loss(z, y)
     nll += 0.5 * l2 * float(w[1:] @ w[1:])
     p = _sigmoid(z)
     g = np.empty_like(w)

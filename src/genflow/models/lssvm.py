@@ -1,18 +1,21 @@
-"""Least-squares SVM with RBF kernel, trained by one dense linear solve.
+"""Least-squares SVM with RBF kernel, trained by one dense Cholesky solve.
 
 The squared-slack, equality-constrained margin objective has a dual that
 is a single (n+1) x (n+1) linear system; its solution gives one dual
-coefficient per training row plus a bias.  The decision value is
-sum_j alpha_j y_j K(x, x_j) + bias, squashed to [0,1] by a logistic map
-so thresholding behaves like the probabilistic families.  The squash is
-strictly monotone, so ROC/AUC are unaffected by it.
+coefficient per training row plus a bias.  The system's n x n block
+H = Omega + lam I is symmetric positive definite, so the fit factors it in
+place by a blocked Cholesky and gets the bias from two triangular solves
+(Suykens et al., *Least Squares Support Vector Machines*, 2002).  The
+decision value is sum_j alpha_j y_j K(x, x_j) + bias, squashed to [0,1] by
+a logistic map so thresholding behaves like the probabilistic families.
+The squash is strictly monotone, so ROC/AUC are unaffected by it.
 
-Memory: the dual matrix is built in place in one (n+1)^2 buffer and
-``np.linalg.solve`` copies it, so a fit on n rows holds about
-2*(n+1)^2*8 bytes; scoring m rows against n support rows holds the m x n
-kernel and one product of that size, about 2*m*n*8 bytes (``peak_bytes``).
-``run_flow`` refuses a job whose estimate exceeds physical memory (CLI
-exit 2).
+Memory: the dual matrix is built in place in one (n+1)^2 buffer next to
+one n x n kernel product, so a fit on n rows holds about 2*(n+1)^2*8 bytes
+while it builds the system; the factor then overwrites that buffer.
+Scoring m rows against n support rows holds the m x n kernel and one
+product of that size, about 2*m*n*8 bytes (``peak_bytes``).  ``run_flow``
+refuses a job whose estimate exceeds physical memory (CLI exit 2).
 """
 
 from __future__ import annotations
@@ -60,6 +63,75 @@ def _dual_system(Xs: np.ndarray, y: np.ndarray, gamma: float, lam: float
     return A, rhs
 
 
+BLOCK = 256  # columns per block of the factor
+# Rows per block of the triangular solves.  NumPy has no triangular solve,
+# so each diagonal block takes an LU (np.linalg.solve), which small blocks
+# keep cheap; with two right-hand sides larger blocks gain no GEMM speed.
+# It divides BLOCK, so each solve block lies in one of the factor's
+# diagonal blocks, whose upper triangle holds zeros.
+SOLVE_BLOCK = 32
+
+
+def _cholesky_in_place(H: np.ndarray) -> None:
+    """Overwrite the lower triangle of the SPD matrix ``H`` with its Cholesky
+    factor L (H = L L'), left-looking by blocks of ``BLOCK`` columns; raise
+    ``np.linalg.LinAlgError`` if a diagonal block is not positive definite.
+
+    Each block column takes one product with the columns left of it, a
+    ``np.linalg.cholesky`` of its diagonal block, and one product of the
+    panel below with that block's inverse.  Diagonal blocks are written
+    whole, so they hold L with zeros above.  The products are written,
+    transposed, into ``H[:b, i:]`` with b <= i: that slice lies in the
+    strictly upper triangle, which the factor never reads, so no
+    (n - i) x b temporary is allocated (it would be taken from the heap
+    and kept between fits)."""
+    n = H.shape[0]
+    for i in range(0, n, BLOCK):
+        j = min(i + BLOCK, n)
+        b = j - i
+        col = H[i:, i:j]
+        if i:
+            upd = np.matmul(H[i:j, :i], H[i:, :i].T, out=H[:b, i:])
+            col -= upd.T
+        col[:b] = np.linalg.cholesky(col[:b])
+        if j < n:
+            panel = np.matmul(np.linalg.inv(col[:b]), col[b:].T, out=H[:b, j:])
+            col[b:] = panel.T
+
+
+def _cholesky_solve(H: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Overwrite ``X`` with the solution of (L L') Z = X for the factor that
+    ``_cholesky_in_place`` left in ``H``: a forward then a backward solve
+    by blocks of ``SOLVE_BLOCK`` rows."""
+    n = H.shape[0]
+    starts = range(0, n, SOLVE_BLOCK)
+    for i in starts:
+        j = min(i + SOLVE_BLOCK, n)
+        if i:
+            X[i:j] -= H[i:j, :i] @ X[:i]
+        X[i:j] = np.linalg.solve(H[i:j, i:j], X[i:j])
+    for i in reversed(starts):
+        j = min(i + SOLVE_BLOCK, n)
+        if j < n:
+            X[i:j] -= H[j:, i:j].T @ X[j:]
+        X[i:j] = np.linalg.solve(H[i:j, i:j].T, X[i:j])
+    return X
+
+
+def _dual_solution(A: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(alpha, bias)`` solving the bordered dual system ``A`` from
+    ``_dual_system`` (right-hand side [0, 1..1]); ``A`` is overwritten.
+
+    With H = Omega + lam I (SPD) factored in place, eta = H^-1 y and
+    nu = H^-1 1 give bias = y'nu / y'eta and alpha = nu - bias * eta."""
+    y = A[1:, 0]
+    H = A[1:, 1:]
+    _cholesky_in_place(H)
+    eta, nu = _cholesky_solve(H, np.column_stack([y, np.ones_like(y)])).T
+    bias = float(y @ nu / (y @ eta))
+    return nu - bias * eta, bias
+
+
 def peak_bytes(n_fit: int, n_score: int) -> int:
     """Bytes held at the peak of a fit on ``n_fit`` rows or of scoring
     ``n_score`` rows against them, whichever is larger."""
@@ -75,9 +147,9 @@ class LssvmModel(TrainedModel):
         gamma = float(spec.param("kernel_gamma", 1.0 / train.n_features))
         y = encode_sign_labels(train).astype(float)
         Xs, mu, sd = standardize(train.features)
-        sol = np.linalg.solve(*_dual_system(Xs, y, gamma, lam))
+        alpha, bias = _dual_solution(_dual_system(Xs, y, gamma, lam)[0])
         return cls(spec, train.feature_names, train.class_names,
-                   Xs, y, sol[1:], sol[0], mu, sd)
+                   Xs, y, alpha, bias, mu, sd)
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         Xs = (X - self.mu) / self.sd

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import Dataset
-from .base import ModelSpec, TrainedModel, row_max, softmax_rows, squash, standardize
+from .base import (ModelSpec, TrainedModel, logistic_loss, row_max, softmax_rows, squash,
+                   standardize)
 
 __all__ = ["NeuralNetModel", "nn_loss_grad"]
 
@@ -31,7 +32,7 @@ def nn_loss_grad(W1, b1, W2, b2, X, y, n_classes):
     Z = H @ W2 + b2
     if n_classes == 2 and W2.shape[1] == 1:
         z = Z[:, 0]
-        loss = float(np.sum(np.logaddexp(0.0, z) - y * z))
+        loss = logistic_loss(z, y)
         p = squash(z)
         dZ = (p - y)[:, None]
     else:

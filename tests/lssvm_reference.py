@@ -5,7 +5,8 @@ as a test oracle.
 Here the kernel, the ``y y'`` outer product, Omega and ``lam * eye(n)``
 are separate n x n arrays and the dual matrix is allocated after them.
 The in-place build must reproduce the matrix, its solution and every
-kernel value bit for bit.
+kernel value bit for bit.  ``solve_dual`` is the dense LU solve of the
+bordered system that the blocked Cholesky fit replaced.
 """
 
 from __future__ import annotations
@@ -37,3 +38,8 @@ def _dual_system(Xs: np.ndarray, y: np.ndarray, gamma: float, lam: float
     rhs = np.zeros(n + 1)
     rhs[1:] = 1.0
     return A, rhs
+
+
+def solve_dual(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """[bias, alpha_1..alpha_n]: ``np.linalg.solve`` of the bordered system."""
+    return np.linalg.solve(A, rhs)

@@ -2,6 +2,7 @@
 dimensionality sweep's own fits, rankings are computed once per task, and
 hierarchy levels are binarized on both splits once, before any fit."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -318,3 +319,24 @@ class TestRefusedBeforeSplit:
         assert main(argv) == 2
         assert "same bundle files" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    # isalnum keeps "é", which is two bytes in UTF-8.
+    @pytest.mark.parametrize("name", ["x" * (flow.MAX_LEVEL_STEM_BYTES + 1),
+                                      "lv." * 74, "é" * 111])
+    def test_over_long_level_name_exit_2(self, tmp_path, monkeypatch, capsys, name):
+        forbid_fits(monkeypatch)
+        data = write_toy_csv(tmp_path / "toy.csv")
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps([{"name": name, "positive": [0], "negative": [1]}]))
+        argv = ["--data", str(data), "--label-col", "label", "--grid-preset", "thin",
+                "--hierarchy", str(h), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "over 255 bytes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_longest_level_name_fills_255_bytes(self):
+        name = "é" * (flow.MAX_LEVEL_STEM_BYTES // 2)
+        HierarchySpec((HierarchyLevel(name, (0,), (1,)),))
+        files = [f"dimsweep_{flow.file_stem('hierarchy:' + name)}_{method}.csv"
+                 for method in flow._RANKERS]
+        assert max(len(f.encode()) for f in files) == 255

@@ -1,0 +1,96 @@
+"""The LS-SVM fit solves its dual by an in-place blocked Cholesky of
+H = Omega + lam I.  It must give the factor ``np.linalg.cholesky`` gives,
+the (alpha, bias) of the dense bordered solve in ``tests/lssvm_reference.py``
+and decision values of the same sign, across the block edges; a matrix
+that is not positive definite is a typed fit failure."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from genflow.cli import main
+from genflow.models import lssvm
+from genflow.models.lssvm import (BLOCK, _cholesky_in_place, _dual_solution, _dual_system,
+                                  rbf_kernel)
+from tests import lssvm_reference as ref
+from tests.test_lssvm_builder import dual_inputs
+from tests.test_report_cli import write_toy_csv
+
+
+def check_against_oracle(X, y, Q, gamma, lam):
+    A, rhs = _dual_system(X, y, gamma, lam)
+    H = A[1:, 1:].copy()
+    L = H.copy()
+    _cholesky_in_place(L)
+    L = np.tril(L)
+    # L L' reproduces H at every lam.  The panels are multiplied by explicit
+    # inverses of the diagonal blocks, so the error grows with their
+    # condition: 1.8e-12 relative at lam = 1e-6 with duplicated wide rows.
+    assert np.abs(L @ L.T - H).max() <= 1e-10 * np.abs(H).max()
+
+    sol = ref.solve_dual(A.copy(), rhs)
+    alpha, bias = _dual_solution(A)
+    if lam == 1e-2:  # cond(H) <= (n + lam) / lam, so forward errors stay small
+        L_ref = np.linalg.cholesky(H)
+        assert np.abs(L - L_ref).max() <= 1e-10 * np.abs(L_ref).max()
+        scale = np.abs(sol).max()
+        np.testing.assert_allclose(alpha, sol[1:], rtol=1e-8, atol=1e-8 * scale)
+        np.testing.assert_allclose(bias, sol[0], rtol=1e-8, atol=1e-8 * scale)
+
+    K = rbf_kernel(Q, X, gamma)
+    f_ref = K @ (sol[1:] * y) + sol[0]
+    f = K @ (alpha * y) + bias
+    decided = np.abs(f_ref) > 1e-6
+    assert (np.sign(f[decided]) == np.sign(f_ref[decided])).all()
+
+
+class TestBlockedCholesky:
+    @settings(max_examples=120, deadline=None)
+    @given(inputs=dual_inputs(), gamma=st.sampled_from([1e-3, 0.1, 1.0, 10.0]),
+           lam=st.sampled_from([1e-6, 1e-2]))
+    def test_matches_dense_oracle(self, inputs, gamma, lam):
+        check_against_oracle(*inputs, gamma, lam)
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("lam", [1e-6, 1e-2])
+    def test_block_edges(self, n, lam):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 5))
+        y = np.where(rng.random(n) < 0.4, -1.0, 1.0)
+        check_against_oracle(X, y, rng.normal(size=(50, 5)), 0.2, lam)
+
+    def test_strictly_upper_triangle_is_never_read(self):
+        rng = np.random.default_rng(3)
+        n = 2 * BLOCK + 7
+        H = _dual_system(rng.normal(size=(n, 4)), np.ones(n), 0.5, 1e-3)[0][1:, 1:]
+        poisoned = H.copy()
+        poisoned[np.triu_indices(n, 1)] = np.nan
+        _cholesky_in_place(H)
+        _cholesky_in_place(poisoned)
+        assert np.tril(poisoned).tobytes() == np.tril(H).tobytes()
+
+    @pytest.mark.parametrize("n", [1, BLOCK + 3])
+    def test_not_positive_definite_raises(self, n):
+        rng = np.random.default_rng(5)
+        A, _ = _dual_system(rng.normal(size=(n, 3)), np.ones(n), 0.5, -2.0 * n)
+        with pytest.raises(np.linalg.LinAlgError):
+            _dual_solution(A)
+
+
+def test_failed_factor_is_a_failed_grid_point(tmp_path, monkeypatch):
+    real = lssvm._dual_system
+    monkeypatch.setattr(lssvm, "_dual_system",
+                        lambda Xs, y, gamma, lam: real(Xs, y, gamma, -1e3))
+    data = write_toy_csv(tmp_path / "toy.csv")
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="lssvm grid point .* fit failed"):
+        code = main(["--data", str(data), "--label-col", "label", "--grid-preset", "thin",
+                     "--families", "lssvm,logreg", "--rankers", "fisher",
+                     "--out", str(out)])
+    assert code == 0
+    flat = json.loads((out / "report.json").read_text())["flat"]
+    board = {row["family"]: row for row in flat["leaderboard"]}
+    assert [row["note"][:10] for row in board["lssvm"]["table"]] == ["fit failed"]
+    assert flat["winner"]["family"] == "logreg"
