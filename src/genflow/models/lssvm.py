@@ -10,11 +10,11 @@ decision value is sum_j alpha_j y_j K(x, x_j) + bias, squashed to [0,1] by
 a logistic map so thresholding behaves like the probabilistic families.
 The squash is strictly monotone, so ROC/AUC are unaffected by it.
 
-Memory: the dual matrix is built in place in one (n+1)^2 buffer next to
-one n x n kernel product, so a fit on n rows holds about 2*(n+1)^2*8 bytes
-while it builds the system; the factor then overwrites that buffer.
-Scoring m rows against n support rows holds the m x n kernel and one
-product of that size, about 2*m*n*8 bytes (``peak_bytes``).  ``run_flow``
+Memory: the kernel is computed inside its destination, so the dual matrix
+is built in one (n+1)^2 buffer and a fit on n rows holds about
+(n+1)^2*8 bytes; the factor then overwrites that buffer.  Scoring m rows
+against n support rows holds the m x n kernel, about m*n*8 bytes.  Each
+kernel adds a scratch of ROW_BLOCK x n (``peak_bytes``).  ``run_flow``
 refuses a job whose estimate exceeds physical memory (CLI exit 2).
 """
 
@@ -28,18 +28,36 @@ from .base import ModelSpec, TrainedModel, squash, standardize
 __all__ = ["LssvmModel", "peak_bytes", "rbf_kernel"]
 
 
+# Rows per block of the kernel's elementwise steps: a block stays in cache
+# through all five, and its scratch is the kernel's only temporary.
+ROW_BLOCK = 32
+
+
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float,
                out: np.ndarray | None = None) -> np.ndarray:
     """exp(-gamma * ||a - b||^2) for every row pair, written into ``out``
-    (a new array if None).  Two m x n buffers are live at the peak."""
-    G = 2.0 * A @ B.T
-    out = np.add(np.sum(A * A, axis=1)[:, None], np.sum(B * B, axis=1)[None, :],
-                 out=out)
-    np.subtract(out, G, out=out)
-    del G
-    np.maximum(out, 0.0, out=out)
-    np.multiply(-gamma, out, out=out)
-    return np.exp(out, out=out)
+    (a new array if None).
+
+    The product 2 A B' is written straight into ``out`` by one GEMM (a
+    strided view such as the dual system's ``[1:, 1:]`` block included),
+    and the squared distances and ``exp`` replace it by blocks of
+    ``ROW_BLOCK`` rows.  One m x n buffer and one ROW_BLOCK x n scratch are
+    live at the peak.  The GEMM is not split: products over narrower
+    column or row blocks differ from it in the last bits."""
+    out = np.matmul(2.0 * A, B.T, out=out)
+    a2 = np.sum(A * A, axis=1)[:, None]
+    b2 = np.sum(B * B, axis=1)[None, :]
+    # Full ROW_BLOCK rows even when m is smaller: scratches sized to m
+    # fragmented the heap (+0.2 MB peak RSS over 40 WBC-sized runs).
+    scratch = np.empty((ROW_BLOCK, out.shape[1]))
+    for i in range(0, len(out), ROW_BLOCK):
+        G = out[i:i + ROW_BLOCK]
+        sq = np.add(a2[i:i + ROW_BLOCK], b2, out=scratch[:len(G)])
+        np.subtract(sq, G, out=sq)
+        np.maximum(sq, 0.0, out=sq)
+        np.multiply(-gamma, sq, out=sq)
+        np.exp(sq, out=G)
+    return out
 
 
 def _dual_system(Xs: np.ndarray, y: np.ndarray, gamma: float, lam: float
@@ -134,8 +152,9 @@ def _dual_solution(A: np.ndarray) -> tuple[np.ndarray, float]:
 
 def peak_bytes(n_fit: int, n_score: int) -> int:
     """Bytes held at the peak of a fit on ``n_fit`` rows or of scoring
-    ``n_score`` rows against them, whichever is larger."""
-    return 16 * max((n_fit + 1) ** 2, n_score * n_fit)
+    ``n_score`` rows against them, whichever is larger: the dual system or
+    the scoring kernel, plus the kernel's row-block scratch."""
+    return 8 * (max((n_fit + 1) ** 2, n_score * n_fit) + ROW_BLOCK * n_fit)
 
 
 class LssvmModel(TrainedModel):

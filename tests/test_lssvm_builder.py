@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from genflow import DataError, FlowConfig, HierarchyLevel, HierarchySpec, flow, run_flow
 from genflow.cli import main
-from genflow.models.lssvm import _dual_system, peak_bytes, rbf_kernel
+from genflow.models.lssvm import ROW_BLOCK, _dual_system, peak_bytes, rbf_kernel
 from tests import lssvm_reference as ref
 from tests.conftest import make_binary, make_multiclass
 from tests.test_evaluation_paths import forbid_fits
@@ -69,6 +69,25 @@ class TestInPlaceBuild:
         assert same_bits(out[2:, 4:], ref.rbf_kernel(A, B, 0.5))
         assert np.isnan(out[:2]).all() and np.isnan(out[:, :4]).all()
 
+    @pytest.mark.parametrize("m", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                   2 * ROW_BLOCK + 1])
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    @pytest.mark.parametrize("layout", ["new", "bordered", "offset"])
+    def test_row_block_edges(self, m, n, layout):
+        rng = np.random.default_rng(m * 100 + n)
+        A, B = rng.normal(size=(m, 4)), rng.normal(size=(n, 4)) * 2.0
+        expected = ref.rbf_kernel(A, B, 0.3)
+        if layout == "new":
+            assert same_bits(rbf_kernel(A, B, 0.3), expected)
+            return
+        # the dual system's strided [1:, 1:] block, or an offset view
+        buf = np.full((m + 1, n + 1) if layout == "bordered" else (m + 5, n + 7), np.nan)
+        out = buf[1:, 1:] if layout == "bordered" else buf[2:m + 2, 4:n + 4]
+        K = rbf_kernel(A, B, 0.3, out=out)
+        assert np.shares_memory(K, buf)
+        assert same_bits(out, expected)
+        assert np.isnan(buf).sum() == buf.size - m * n
+
 
 def traced_peak(fn, *args):
     tracemalloc.start()
@@ -93,10 +112,31 @@ class TestPeakMemory:
         Q, X = rng.normal(size=(m, 10)), rng.normal(size=(n, 10))
         assert traced_peak(rbf_kernel, Q, X, 0.1) <= 2.1 * m * n * 8
 
+    def test_dual_system_one_matrix(self):
+        n = 1500
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(n, 10))
+        y = np.where(rng.random(n) < 0.4, -1.0, 1.0)
+        assert traced_peak(_dual_system, X, y, 0.1, 1e-6) <= 1.1 * (n + 1) ** 2 * 8
+
+    def test_kernel_one_buffer(self):
+        m, n = 3000, 1500
+        rng = np.random.default_rng(2)
+        Q, X = rng.normal(size=(m, 10)), rng.normal(size=(n, 10))
+        assert traced_peak(rbf_kernel, Q, X, 0.1) <= 1.1 * m * n * 8
+
+    def test_kernel_into_out_allocates_no_product(self):
+        # A NumPy that copied a strided ``out`` would allocate an m x n temporary.
+        m, n = 3000, 1500
+        rng = np.random.default_rng(3)
+        Q, X = rng.normal(size=(m, 10)), rng.normal(size=(n, 10))
+        out = np.empty((m + 1, n + 1))[1:, 1:]
+        assert traced_peak(rbf_kernel, Q, X, 0.1, out) < 0.1 * m * n * 8
+
 
 class TestOversizedKernelRefused:
     def test_cli_exit_2_before_any_fit(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(flow, "physical_memory_bytes", lambda: 1 << 20)
+        monkeypatch.setattr(flow, "physical_memory_bytes", lambda: 1 << 18)
         forbid_fits(monkeypatch)
         data = write_toy_csv(tmp_path / "toy.csv", n=600)
         code = main(["--data", str(data), "--label-col", "label", "--grid-preset", "thin",
@@ -107,7 +147,7 @@ class TestOversizedKernelRefused:
         assert not (tmp_path / "out").exists()
 
     def test_run_without_lssvm_proceeds(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(flow, "physical_memory_bytes", lambda: 1 << 20)
+        monkeypatch.setattr(flow, "physical_memory_bytes", lambda: 1 << 18)
         data = write_toy_csv(tmp_path / "toy.csv", n=600)
         code = main(["--data", str(data), "--label-col", "label", "--grid-preset", "thin",
                      "--families", "logreg", "--rankers", "fisher",
@@ -123,16 +163,16 @@ class TestOversizedKernelRefused:
     ])
     def test_kernel_families_refused_on_every_route(self, monkeypatch, data, families,
                                                     hierarchy):
-        monkeypatch.setattr(flow, "physical_memory_bytes", lambda: 1 << 20)
+        monkeypatch.setattr(flow, "physical_memory_bytes", lambda: 1 << 18)
         forbid_fits(monkeypatch)
         with pytest.raises(DataError, match="physical memory"):
             run_flow(data, FlowConfig(candidate_families=families, hierarchy=hierarchy))
 
     def test_bound_is_the_refit_or_the_test_kernel(self, monkeypatch):
         n_train, n_test = 5706, 13314  # the telescope split: the test kernel dominates
-        estimate = 16 * n_test * n_train
+        estimate = 8 * (n_test * n_train + ROW_BLOCK * n_train)
         assert peak_bytes(n_train, n_test) == estimate
-        assert peak_bytes(n_train, 10) == 16 * (n_train + 1) ** 2
+        assert peak_bytes(n_train, 10) == 8 * ((n_train + 1) ** 2 + ROW_BLOCK * n_train)
         config = FlowConfig(candidate_families=("lssvm",))
         monkeypatch.setattr(flow, "physical_memory_bytes", lambda: estimate)
         flow._refuse_oversized_kernel(config, "binary", n_train, n_test)
