@@ -16,6 +16,7 @@ scoring stage; the test metrics of the chosen route are then reported.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -103,6 +104,8 @@ class FlowConfig:
                 ("Decision 3 metrics", (self.decision3_metric,), ("accuracy", "recall"))):
             if unknown := [n for n in names if n not in known]:
                 raise DataError(f"unknown {kind} {unknown}; known: {sorted(known)}")
+        if not self.ranking_methods:  # the dimensionality sweep needs a ranking
+            raise DataError("no ranking methods")
         if self.bin_count < 2:  # the binned rankers need two bins
             raise DataError(f"bin_count must be >= 2, got {self.bin_count}")
         if self.fold_count < 2:  # one fold leaves nothing to fit on
@@ -117,7 +120,7 @@ class FlowConfig:
             "seed": self.seed,
             "candidate_families": list(self.candidate_families)
             if self.candidate_families else None,
-            "grids": self.grids,
+            "grids": copy.deepcopy(self.grids),  # never the registry's own lists
             "ranking_methods": list(self.ranking_methods),
             "bin_count": self.bin_count,
             "hierarchy": self.hierarchy.to_list() if self.hierarchy else None,
@@ -258,33 +261,27 @@ def select_best_model(candidates, train: Dataset, folds: FoldPlan, grids,
     Families tied to 4 decimal places resolve by model complexity
     (simpler wins).
     """
-    candidates = list(candidates)  # a generator would be spent before the count below
+    candidates = list(candidates)  # a generator would be spent by the loop below
     if not candidates:
         raise DataError("no candidate families")
-    leaderboard = []
-    best = None
-    failures = 0
+    results = []
     for family in candidates:
         grid = grids.get(family, DEFAULT_GRIDS.get(family))
         if grid is None:
             raise DataError(f"no grid for family {family!r}")
-        result = sweep_parameters(family, grid, train, folds, seed=seed)
-        ok = any(not row["note"] for row in result.table)
-        failures += not ok
-        leaderboard.append({
-            "family": family,
-            "cv_accuracy": result.cv_accuracy,
-            "best_point": dict(result.best_spec.hyperparameters),
-            "table": result.table,
-        })
-        key = (round(result.cv_accuracy, 4), -FAMILIES[family].complexity)
-        if best is None or key > best[0] or (
-            key == best[0] and result.cv_accuracy > best[1].cv_accuracy
-        ):
-            best = (key, result)
-    if failures == len(candidates):
+        results.append(sweep_parameters(family, grid, train, folds, seed=seed))
+    if all(row["note"] for result in results for row in result.table):
         raise DataError("every candidate family failed to fit")
-    return best[1], leaderboard
+    leaderboard = [{
+        "family": family,
+        "cv_accuracy": result.cv_accuracy,
+        "best_point": dict(result.best_spec.hyperparameters),
+        "table": result.table,
+    } for family, result in zip(candidates, results)]
+    best = max(results, key=lambda r: (round(r.cv_accuracy, 4),
+                                       -FAMILIES[r.best_spec.family].complexity,
+                                       r.cv_accuracy))
+    return best, leaderboard
 
 
 def _route_families(config: FlowConfig, route: str) -> tuple[list[str], list[str]]:

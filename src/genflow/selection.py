@@ -6,6 +6,13 @@ shuffled position j validates in fold j mod fold_count, so every fifth
 sample (for the default 5 folds) lands in the same validation set.  The
 positional variant (no shuffle) is available for strict fidelity to
 pre-shuffled inputs.
+
+Tie rules: a grid sweep keeps the earlier grid point; the dimensionality
+sweep prefers smaller k, then the earlier-listed method; Decision 2
+(``flow.select_best_model``) ranks families by accuracy rounded to 4
+places, then simpler family, then exact accuracy, then the earlier family.
+A top-k prefix shared by several rankings is cross-validated once; the
+curves stay per method.
 """
 
 from __future__ import annotations
@@ -124,15 +131,12 @@ _FIT_FAILURES = (ModelError, DataError, np.linalg.LinAlgError, FloatingPointErro
 
 def sweep_parameters(family: str, grid: dict[str, list], train: Dataset,
                      folds: FoldPlan, seed: int = 0) -> SweepResult:
-    """Exhaustive Cartesian sweep; best point by mean validation accuracy,
-    ties resolved to the earlier grid point."""
-    if not grid:
+    """Exhaustive Cartesian sweep; best point by mean validation accuracy."""
+    if not grid or any(len(values) == 0 for values in grid.values()):
         raise DataError("empty hyperparameter grid")
-    names = list(grid)
-    table = []
-    best = None
-    for values in itertools.product(*(grid[n] for n in names)):
-        point = dict(zip(names, values))
+    table, specs = [], []
+    for values in itertools.product(*grid.values()):
+        point = dict(zip(grid, values))
         spec = _resolve_spec(family, point, train.n_features, seed)
         try:
             mean_acc, fold_accs = cv_accuracy(spec, train, folds)
@@ -146,37 +150,32 @@ def sweep_parameters(family: str, grid: dict[str, list], train: Dataset,
             "fold_accuracies": fold_accs,
             "note": note,
         })
-        if best is None or mean_acc > best[0]:
-            best = (mean_acc, spec)
-    return SweepResult(best_spec=best[1], cv_accuracy=best[0], table=table)
+        specs.append(spec)
+    best = max(range(len(table)), key=lambda i: table[i]["mean_accuracy"])
+    return SweepResult(specs[best], table[best]["mean_accuracy"], table)
 
 
 def dimensionality_sweep(best_spec: ModelSpec, train: Dataset, folds: FoldPlan,
                          rankings: list[RankedFeatures]) -> DimSweepResult:
     """Refit the selected spec on top-k subsets for k = 1..d per ranking.
 
-    Best (method, k) maximizes mean CV accuracy; ties prefer smaller k,
-    then the earlier-listed method.  The winner's out-of-fold labels are kept.
+    The best (method, k) maximizes mean CV accuracy, and its out-of-fold
+    labels are kept.  A prefix seen for an earlier method reuses that
+    accuracy and cannot win: the tie rule prefers the earlier method.
     """
     d = train.n_features
+    prefix_acc: dict[tuple[int, ...], float] = {}
+    points = []  # (acc, k, method position, out-of-fold labels), one per prefix
     curves: dict[str, list[float]] = {}
-    best = None  # (acc, k, method_pos)
     for pos, ranking in enumerate(rankings):
-        curve = []
+        curves[ranking.method] = curve = []
         for k in range(1, d + 1):
-            accs, pred = cross_validate(best_spec, project_top_k(train, ranking, k),
-                                        folds)
-            acc = float(np.mean(accs))
-            curve.append(acc)
-            cand = (acc, -k, -pos)
-            if best is None or cand > best:
-                best, best_pred = cand, pred
-        curves[ranking.method] = curve
-    acc, neg_k, neg_pos = best
-    return DimSweepResult(
-        best_method=rankings[-neg_pos].method,
-        best_k=-neg_k,
-        cv_accuracy=acc,
-        curves=curves,
-        oof_labels=best_pred,
-    )
+            cols = tuple(ranking.order[:k].tolist())
+            if cols not in prefix_acc:
+                accs, pred = cross_validate(best_spec, project_top_k(train, ranking, k),
+                                            folds)
+                prefix_acc[cols] = float(np.mean(accs))
+                points.append((prefix_acc[cols], k, pos, pred))
+            curve.append(prefix_acc[cols])
+    acc, k, pos, pred = max(points, key=lambda p: (p[0], -p[1], -p[2]))
+    return DimSweepResult(rankings[pos].method, k, acc, curves, oof_labels=pred)

@@ -221,6 +221,11 @@ class TestNames:
         assert value.rsplit(",", 1)[1] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_ranker_list_refused_before_any_fit(self, monkeypatch):
+        forbid_fits(monkeypatch)
+        with pytest.raises(DataError, match="no ranking methods"):
+            run_flow(make_binary(n=120, seed=1), fast_config(ranking_methods=()))
+
     def test_mrmr_reachable_from_cli(self, tmp_path):
         data = write_toy_csv(tmp_path / "toy.csv")
         out = tmp_path / "out"

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from genflow import (
     select_best_model,
     stratified_split,
 )
+from genflow.models import FAMILIES
 from genflow.report import report_body
 from tests.conftest import make_binary, make_multiclass
 
@@ -251,6 +254,23 @@ class TestRunFlowBinary:
         a = run_flow(ds, fast_config())
         b = run_flow(ds, fast_config())
         assert report_body(a) == report_body(b)
+
+    def test_report_config_is_not_the_family_registry(self):
+        """Editing a returned report's grids must not change later runs."""
+        ds = make_binary(n=120, seed=7)
+        config = FlowConfig(seed=0, candidate_families=("logreg",),
+                            ranking_methods=("fisher",))
+        registry = FAMILIES["logreg"].grid
+        saved = copy.deepcopy(registry)
+        try:
+            first = run_flow(ds, config)
+            body = copy.deepcopy(report_body(first))
+            assert first.config["grids"]["logreg"] is not registry
+            first.config["grids"]["logreg"]["l2"].append(10.0)
+            assert report_body(run_flow(ds, config)) == body
+        finally:  # keep the registry intact for other tests
+            for name, values in saved.items():
+                registry[name][:] = values
 
     def test_seed_changes_split(self):
         ds = make_binary(n=120, seed=7)

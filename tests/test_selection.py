@@ -109,6 +109,16 @@ class TestSweep:
         with pytest.raises(DataError, match="empty"):
             sweep_parameters("logreg", {}, ds, plan)
 
+    @pytest.mark.parametrize("family, grid", [
+        ("logreg", {"l2": []}),
+        ("boosted_tree", {"leaves": [4], "trees": []}),
+    ])
+    def test_empty_grid_axis_rejected(self, family, grid):
+        ds = make_binary(n=40)
+        plan = make_interleaved_folds(ds, 4, seed=0)
+        with pytest.raises(DataError, match="empty hyperparameter grid"):
+            sweep_parameters(family, grid, ds, plan)
+
     def test_best_is_argmax_of_table(self):
         ds = make_binary(n=120, seed=9)
         plan = make_interleaved_folds(ds, 5, seed=0)
