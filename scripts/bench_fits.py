@@ -28,7 +28,7 @@ import numpy as np
 
 from genflow import Dataset, make_interleaved_folds, stratified_split
 from genflow.models import BINARY_FAMILIES, FAMILIES, ModelSpec, fit_model
-from genflow.selection import THIN_GRIDS, _resolve_spec
+from genflow.selection import _resolve_spec
 
 DEFAULT_FAMILIES = "boosted_tree,decision_forest,logreg,multinomial_logreg"
 WBC_ROWS = (168, 4000)
@@ -102,7 +102,7 @@ def main() -> int:
         for family in families:
             if family not in fits:
                 continue
-            point = {k: v[0] for k, v in THIN_GRIDS[family].items()}
+            point = {k: v[0] for k, v in FAMILIES[family].thin_grid.items()}
             spec = _resolve_spec(family, point, data.n_features, args.seed)
             fit_s = []
             for _ in range(args.repeats):

@@ -14,7 +14,6 @@ from .dataset import (
     load_dataset,
     stratified_split,
     encode_sign_labels,
-    decode_sign_labels,
 )
 from .ranking import (
     RankedFeatures,
@@ -29,7 +28,6 @@ from .models import (
     TrainedModel,
     ModelError,
     fit_model,
-    fit_one_vs_all,
     model_from_document,
 )
 from .selection import (
@@ -44,7 +42,6 @@ from .metrics import (
     ConfusionCounts,
     EvalMetrics,
     confusion_counts,
-    binary_metrics,
     averaged_metrics,
     roc_and_auc,
     randomized_recall,
@@ -56,7 +53,6 @@ from .flow import (
     FlowReport,
     decision_route,
     select_best_model,
-    evaluate_hierarchy,
     combine_level_metrics,
     decision_hierarchy,
     run_flow,

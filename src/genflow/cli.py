@@ -14,10 +14,9 @@ from pathlib import Path
 
 from .dataset import DataError, load_dataset
 from .flow import FlowConfig, load_hierarchy_spec, run_flow
-from .models import ModelError
+from .models import FAMILIES, ModelError
 from .ranking import RANKING_METHODS
 from .report import emit_bundle
-from .selection import DEFAULT_GRIDS, THIN_GRIDS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,7 +89,8 @@ def main(argv=None) -> int:
             fold_count=args.fold_count,
             seed=args.seed,
             candidate_families=tuple(args.families.split(",")) if args.families else None,
-            grids=THIN_GRIDS if args.grid_preset == "thin" else DEFAULT_GRIDS,
+            grids={n: f.thin_grid if args.grid_preset == "thin" else f.grid
+                   for n, f in FAMILIES.items()},
             ranking_methods=tuple(args.rankers.split(",")),
             bin_count=args.bin_count,
             hierarchy=hierarchy,

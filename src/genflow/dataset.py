@@ -21,7 +21,6 @@ __all__ = [
     "load_dataset",
     "stratified_split",
     "encode_sign_labels",
-    "decode_sign_labels",
 ]
 
 
@@ -99,8 +98,6 @@ class SplitPair:
 
     train: Dataset
     test: Dataset
-    seed: int
-    train_fraction: float = 0.30
     train_index: np.ndarray = field(default=None, repr=False)
     test_index: np.ndarray = field(default=None, repr=False)
 
@@ -251,8 +248,6 @@ def stratified_split(data: Dataset, train_fraction: float = 0.30,
     return SplitPair(
         train=data.restrict_rows(train_idx, "#train"),
         test=data.restrict_rows(test_idx, "#test"),
-        seed=seed,
-        train_fraction=train_fraction,
         train_index=train_idx,
         test_index=test_idx,
     )
@@ -263,8 +258,3 @@ def encode_sign_labels(data: Dataset) -> np.ndarray:
     if data.n_classes != 2:
         raise DataError(f"sign encoding needs a binary dataset, got C={data.n_classes}")
     return np.where(data.labels == 0, -1, 1).astype(int)
-
-
-def decode_sign_labels(signs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`encode_sign_labels`."""
-    return np.where(np.asarray(signs) < 0, 0, 1).astype(int)

@@ -6,8 +6,9 @@ and assemble the final report structure.
 Each task (the flat run or one hierarchy level) takes one path: family
 sweep, one ranking pass, dimensionality sweep, whose winning fits give the
 out-of-fold metrics.  Hierarchy levels are binarized on both splits before
-any fit (an empty or one-sided level is a DataError) and scored from there;
-a task that no requested family applies to is a DataError at the same point.
+any fit (an empty or one-sided level, or one with fewer training rows than
+folds, is a DataError) and scored from there; a task that no requested
+family applies to is a DataError at the same point.
 
 Decision 3 (flat vs hierarchical) is evaluated on out-of-fold training
 predictions so that the test split influences nothing before the final
@@ -50,7 +51,6 @@ from .ranking import (
     project_top_k,
 )
 from .selection import (
-    DEFAULT_GRIDS,
     DimSweepResult,
     FoldPlan,
     SweepResult,
@@ -67,7 +67,6 @@ __all__ = [
     "FlowReport",
     "decision_route",
     "select_best_model",
-    "evaluate_hierarchy",
     "combine_level_metrics",
     "decision_hierarchy",
     "run_flow",
@@ -90,7 +89,8 @@ class FlowConfig:
     fold_count: int = 5
     seed: int = 0
     candidate_families: tuple[str, ...] | None = None  # None = all applicable
-    grids: dict = field(default_factory=lambda: DEFAULT_GRIDS)
+    grids: dict = field(default_factory=lambda: copy.deepcopy(  # not the registry's own
+        {n: f.grid for n, f in FAMILIES.items()}))
     ranking_methods: tuple[str, ...] = RANKING_METHODS
     bin_count: int = 10
     hierarchy: "HierarchySpec | None" = None
@@ -266,7 +266,7 @@ def select_best_model(candidates, train: Dataset, folds: FoldPlan, grids,
         raise DataError("no candidate families")
     results = []
     for family in candidates:
-        grid = grids.get(family, DEFAULT_GRIDS.get(family))
+        grid = grids.get(family, FAMILIES[family].grid if family in FAMILIES else None)
         if grid is None:
             raise DataError(f"no grid for family {family!r}")
         results.append(sweep_parameters(family, grid, train, folds, seed=seed))
@@ -388,22 +388,6 @@ def combine_level_metrics(per_level: list[EvalMetrics]) -> dict:
     }
 
 
-def evaluate_hierarchy(levels: list[tuple[str, Dataset, Dataset]],
-                       config: FlowConfig, trail: list[dict]
-                       ) -> tuple[list[TaskResult], dict]:
-    """Run the binary pipeline independently on each hierarchy level.
-
-    ``levels`` holds the (name, train, test) datasets binarized up front by
-    ``run_flow``; only train is read.  Returns (per-level task results,
-    combined out-of-fold metrics).  Levels are trained on ground-truth
-    subsets; predictions never cascade between levels.
-    """
-    _, candidates = _route_families(config, "multiclass")
-    tasks = [_run_task(f"hierarchy:{name}", train, candidates, config, trail)
-             for name, train, _ in levels]
-    return tasks, combine_level_metrics([t.cv_metrics for t in tasks])
-
-
 def _decision3_value(metrics: EvalMetrics, metric: str) -> float:
     return metrics.macro_recall if metric == "recall" else metrics.macro_accuracy
 
@@ -479,13 +463,17 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
         decision_trail=trail,
     )
 
-    # Every hierarchy level is binarized on both splits, and every task has
-    # a family to sweep, before any fit.
+    # Every hierarchy level is binarized on both splits and has a training
+    # row per fold, and every task has a family to sweep, before any fit.
     levels = []
     if config.hierarchy is not None:
         config.hierarchy.validate_for(data.n_classes)
         levels = [(lv.name, _binarize_level(split.train, lv),
                    _binarize_level(split.test, lv)) for lv in config.hierarchy.levels]
+    for name, train_lv, _ in levels:
+        if config.fold_count > train_lv.n_samples:
+            raise DataError(f"hierarchy level {name!r}: fold_count {config.fold_count} "
+                            f"exceeds {train_lv.n_samples} training rows")
     flat_families, level_families = _route_families(config, route)
     if not flat_families:
         raise DataError(f"none of the families {list(config.candidate_families)} "
@@ -503,7 +491,11 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
         report.baseline = baseline
         flat_value = _decision3_value(flat.cv_metrics, config.decision3_metric)
         if flat_value < baseline and config.hierarchy is not None:
-            level_tasks, hierarchy_cv = evaluate_hierarchy(levels, config, trail)
+            # Each level trains on its ground-truth subset; predictions never
+            # cascade between levels.
+            level_tasks = [_run_task(f"hierarchy:{name}", train_lv, level_families,
+                                     config, trail) for name, train_lv, _ in levels]
+            hierarchy_cv = combine_level_metrics([t.cv_metrics for t in level_tasks])
         route, detail = decision_hierarchy(flat.cv_metrics, baseline,
                                            hierarchy_cv, config.decision3_metric)
         trail.append({"stage": "decision3", "inputs": {}, "outcome": detail})

@@ -1,5 +1,5 @@
-"""Confusion counting, binary/micro/macro metrics, ROC curves, and the
-majority-class randomized baseline."""
+"""Confusion counting, per-class one-vs-rest metrics with their micro/macro
+averages, ROC curves, and the majority-class randomized baseline."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ __all__ = [
     "ConfusionCounts",
     "EvalMetrics",
     "confusion_counts",
-    "binary_metrics",
     "averaged_metrics",
     "roc_and_auc",
     "randomized_recall",
@@ -42,23 +41,6 @@ class ConfusionCounts:
     @property
     def total(self) -> int:
         return int(self.matrix.sum())
-
-    # Binary convenience accessors; class 1 is positive.
-    @property
-    def tp(self) -> int:
-        return int(self.matrix[1, 1])
-
-    @property
-    def tn(self) -> int:
-        return int(self.matrix[0, 0])
-
-    @property
-    def fp(self) -> int:
-        return int(self.matrix[0, 1])
-
-    @property
-    def fn(self) -> int:
-        return int(self.matrix[1, 0])
 
     def one_vs_rest(self, i: int) -> tuple[int, int, int, int]:
         """(tp, fp, fn, tn) treating class i as positive."""
@@ -116,14 +98,6 @@ def _safe_div(num: float, den: float, flags: list[str], what: str) -> float:
         flags.append(f"degenerate denominator: {what}")
         return 0.0
     return num / den
-
-
-def binary_metrics(counts: ConfusionCounts) -> EvalMetrics:
-    """Precision / recall / accuracy with class 1 positive; 0/0 -> 0 + flag.
-    For C=2 these are exactly the class-1 entries of ``averaged_metrics``."""
-    if counts.n_classes != 2:
-        raise ValueError(f"binary_metrics needs C=2, got {counts.n_classes}")
-    return averaged_metrics(counts)
 
 
 def averaged_metrics(counts: ConfusionCounts) -> EvalMetrics:

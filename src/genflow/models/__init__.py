@@ -33,7 +33,6 @@ __all__ = [
     "BINARY_FAMILIES",
     "MULTICLASS_FAMILIES",
     "fit_model",
-    "fit_one_vs_all",
     "model_from_document",
     "validate_spec",
 ]
@@ -136,15 +135,6 @@ def fit_model(spec: ModelSpec, train: Dataset) -> TrainedModel:
         raise ModelError(f"{spec.family} requires a binary dataset (C=2), "
                          f"got C={train.n_classes}")
     return family.model.fit(spec, train)
-
-
-def fit_one_vs_all(binary_family: str, hyperparameters: dict, train: Dataset,
-                   seed: int = 0) -> OneVsAllModel:
-    """Train C binary models (class i vs rest) and combine by argmax."""
-    for name, family in FAMILIES.items():
-        if family.ova_base == binary_family:
-            return fit_model(ModelSpec(name, dict(hyperparameters), seed=seed), train)
-    raise ModelError(f"no one-vs-all family over {binary_family!r}")
 
 
 def model_from_document(doc: dict) -> TrainedModel:

@@ -21,10 +21,8 @@ from .base import DEFAULT_L2, ModelSpec, TrainedModel, logistic_loss, softmax_ro
 __all__ = [
     "LogisticRegressionModel",
     "MultinomialLogregModel",
-    "logistic_nll_grad",
     "softmax_grad",
     "softmax_nll",
-    "softmax_nll_grad",
 ]
 
 MAX_NEWTON_ITER = 100
@@ -43,8 +41,11 @@ def _sigmoid(z):
 
 def _logistic_terms(w: np.ndarray, X: np.ndarray, y: np.ndarray,
                     l2: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """:func:`logistic_nll_grad` plus the probabilities ``p`` at ``w``, which
-    the Newton step's weights reuse."""
+    """Penalized negative log-likelihood, its gradient, and the probabilities
+    ``p`` at ``w``, which the Newton step's weights reuse.
+
+    ``w[0]`` is the intercept (unpenalized); ``X`` has no bias column.
+    """
     z = w[0] + X @ w[1:]
     nll = logistic_loss(z, y)
     nll += 0.5 * l2 * float(w[1:] @ w[1:])
@@ -53,15 +54,6 @@ def _logistic_terms(w: np.ndarray, X: np.ndarray, y: np.ndarray,
     g[0] = np.sum(p - y)
     g[1:] = X.T @ (p - y) + l2 * w[1:]
     return nll, g, p
-
-
-def logistic_nll_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray,
-                      l2: float) -> tuple[float, np.ndarray]:
-    """Penalized negative log-likelihood and its gradient.
-
-    ``w[0]`` is the intercept (unpenalized); ``X`` has no bias column.
-    """
-    return _logistic_terms(w, X, y, l2)[:2]
 
 
 def _class_sums(E: np.ndarray) -> np.ndarray:
@@ -142,14 +134,6 @@ def _class_major_labels(y: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.n
     YT = np.zeros((n_classes, len(y)))
     YT.flat[label_at] = 1.0
     return label_at, YT
-
-
-def softmax_nll_grad(B: np.ndarray, X: np.ndarray, y: np.ndarray,
-                     l2: float) -> tuple[float, np.ndarray]:
-    """Penalized multinomial NLL and its gradient at ``B``; ``X`` is N x d."""
-    label_at, YT = _class_major_labels(y, len(B))
-    nll, ZT, logZ = softmax_nll(B, np.ascontiguousarray(X.T), label_at, l2)
-    return nll, softmax_grad(B, X, YT, ZT, logZ, l2)
 
 
 class LogisticRegressionModel(TrainedModel):

@@ -37,15 +37,12 @@ class RankedFeatures:
 
     ``order`` is a permutation of 0..d-1.  For the sort-based methods it
     is descending score with ties broken by ascending feature index; for
-    mRMR it is the greedy selection order and ``selected_k`` records how
-    many features the caller asked for.
+    mRMR it is the greedy selection order.
     """
 
     method: str
     scores: np.ndarray
     order: np.ndarray
-    bin_count: int | None = None
-    selected_k: int | None = None
 
     def __post_init__(self):
         order = np.asarray(self.order, dtype=int)
@@ -122,8 +119,7 @@ def mutual_information(train: Dataset, bin_count: int = 10) -> RankedFeatures:
         joint = np.zeros((bin_count, C))
         np.add.at(joint, (bins, train.labels), 1.0)
         scores[l] = _mi_from_joint(joint)
-    return RankedFeatures("mutual_info", scores, _descending_order(scores),
-                          bin_count=bin_count)
+    return RankedFeatures("mutual_info", scores, _descending_order(scores))
 
 
 def _chi2_binary(bins: np.ndarray, positive_mask: np.ndarray, bin_count: int) -> float:
@@ -158,24 +154,18 @@ def chi_squared(train: Dataset, bin_count: int = 10) -> RankedFeatures:
         scores[l] = sum(
             _chi2_binary(bins, train.labels == c, bin_count) for c in classes
         )
-    return RankedFeatures("chi_squared", scores, _descending_order(scores),
-                          bin_count=bin_count)
+    return RankedFeatures("chi_squared", scores, _descending_order(scores))
 
 
-def mrmr_rank(train: Dataset, bin_count: int = 10, k: int | None = None,
-              redundancy_weight: float = 1.0) -> RankedFeatures:
+def mrmr_rank(train: Dataset, bin_count: int = 10) -> RankedFeatures:
     """Greedy MID selection: relevance minus mean redundancy.
 
     The first pick maximizes I(feature; label); each later pick
     maximizes relevance minus the mean pairwise MI with the features
     already selected.  The greedy pass runs over all d features so
-    ``order`` is a full permutation; ``selected_k`` records k.
+    ``order`` is a full permutation.
     """
     d = train.n_features
-    if k is None:
-        k = d
-    if not 1 <= k <= d:
-        raise DataError(f"k must be in 1..{d}, got {k}")
     bins = np.column_stack(
         [discretize(train.features[:, l], bin_count) for l in range(d)]
     )
@@ -196,13 +186,12 @@ def mrmr_rank(train: Dataset, bin_count: int = 10, k: int | None = None,
             red = pair_mi[np.ix_(remaining, order)].mean(axis=1)
         else:
             red = np.zeros(len(remaining))
-        vals = relevance[remaining] - redundancy_weight * red
+        vals = relevance[remaining] - red
         best = int(np.argmax(vals))  # first index wins ties
         idx = remaining.pop(best)
         criterion[idx] = vals[best]
         order.append(idx)
-    return RankedFeatures("mrmr", criterion, np.array(order),
-                          bin_count=bin_count, selected_k=k)
+    return RankedFeatures("mrmr", criterion, np.array(order))
 
 
 def project_top_k(data: Dataset, ranking: RankedFeatures, k: int) -> Dataset:

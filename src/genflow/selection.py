@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, DataError
-from .models import FAMILIES, ModelError, ModelSpec, fit_model
+from .models import ModelError, ModelSpec, fit_model
 from .ranking import RankedFeatures, project_top_k
 
 __all__ = [
@@ -36,12 +36,7 @@ __all__ = [
     "dimensionality_sweep",
     "cv_accuracy",
     "cross_validate",
-    "DEFAULT_GRIDS",
-    "THIN_GRIDS",
 ]
-
-DEFAULT_GRIDS: dict[str, dict[str, list]] = {n: f.grid for n, f in FAMILIES.items()}
-THIN_GRIDS: dict[str, dict[str, list]] = {n: f.thin_grid for n, f in FAMILIES.items()}
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,14 @@ from genflow.models import FAMILIES
 from genflow.ranking import project_top_k
 from genflow.selection import (
     _FIT_FAILURES,
-    DEFAULT_GRIDS,
     DimSweepResult,
     SweepResult,
     _resolve_spec,
     cross_validate,
     cv_accuracy,
 )
+
+DEFAULT_GRIDS = {n: f.grid for n, f in FAMILIES.items()}
 
 
 def sweep_parameters(family, grid, train, folds, seed=0):

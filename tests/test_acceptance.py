@@ -26,13 +26,13 @@ from genflow import (
     stratified_split,
 )
 from genflow.metrics import ConfusionCounts, averaged_metrics
-from genflow.models.linear import logistic_nll_grad, softmax_nll_grad
+from genflow.models import FAMILIES
 from genflow.models.lssvm import LssvmModel
 from genflow.models.neural import nn_loss_grad
 from genflow.models.base import ModelSpec
 from genflow.report import report_body
-from genflow.selection import THIN_GRIDS
 from tests.conftest import make_binary, make_imbalanced6, group_hierarchy
+from tests.linear_engine import logistic_nll_grad, softmax_nll_grad
 from tests.test_flow import FAST_GRIDS, fast_config, metrics_with
 from tests.test_metrics import recount_oracle
 from tests.test_ranking import ds_from, joint_table_mi
@@ -85,7 +85,8 @@ def test_criterion_03_telescope_accuracy_and_auc():
     """
     data = load_benchmark("telescope.csv", "class")
     start = time.time()
-    report = run_flow(data, FlowConfig(seed=0, grids=THIN_GRIDS))
+    thin = {n: f.thin_grid for n, f in FAMILIES.items()}
+    report = run_flow(data, FlowConfig(seed=0, grids=thin))
     assert report.flat.test_metrics.overall_accuracy >= 0.84
     assert report.flat.roc.auc >= 0.90
     assert time.time() - start <= 1800

@@ -187,6 +187,14 @@ class TestHierarchyPath:
             run_flow(ds, config)
 
 
+class TestFoldCount:
+    def test_fold_count_above_a_level_refused_before_any_fit(self, monkeypatch):
+        # Class B has one training row, so level4 (C vs B) trains on 20 rows.
+        forbid_fits(monkeypatch)
+        with pytest.raises(DataError, match="'level4'.*fold_count 25 exceeds 20 "):
+            run_flow(make_imbalanced6(seed=0), hier_config(fold_count=25))
+
+
 class TestNames:
     def test_unknown_names_rejected_by_config(self):
         with pytest.raises(DataError, match="mutual_inf"):

@@ -272,6 +272,21 @@ class TestRunFlowBinary:
             for name, values in saved.items():
                 registry[name][:] = values
 
+    def test_default_config_grids_are_not_the_family_registry(self):
+        """Editing a default config's grids must leave the registry as it is."""
+        saved = {n: copy.deepcopy(f.grid) for n, f in FAMILIES.items()}
+        config = FlowConfig()
+        try:
+            assert config.grids == saved
+            config.grids["logreg"]["l2"].append(10.0)
+            config.grids["lssvm"]["lambda"].clear()
+            assert {n: f.grid for n, f in FAMILIES.items()} == saved
+            assert FlowConfig().grids == saved
+        finally:  # keep the registry intact for other tests
+            for name, family in FAMILIES.items():
+                for axis, values in saved[name].items():
+                    family.grid[axis][:] = values
+
     def test_seed_changes_split(self):
         ds = make_binary(n=120, seed=7)
         a = run_flow(ds, fast_config(seed=1))

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from genflow import (
     ConfusionCounts,
     averaged_metrics,
-    binary_metrics,
     confusion_counts,
     randomized_recall,
     roc_and_auc,
@@ -15,7 +14,8 @@ from genflow import (
 class TestConfusion:
     def test_enumerated_example(self):
         c = confusion_counts([1, 1, 1, 0, 0], [1, 1, 0, 0, 1])
-        assert (c.tp, c.fn, c.tn, c.fp) == (2, 1, 1, 1)
+        tp, fp, fn, tn = c.one_vs_rest(1)
+        assert (tp, fn, tn, fp) == (2, 1, 1, 1)
 
     def test_perfect_is_diagonal(self):
         y = [0, 1, 2, 1, 0, 2]
@@ -41,25 +41,21 @@ class TestBinaryMetrics:
     def test_arithmetic_example(self):
         # tp=3, fp=1, fn=2, tn=4
         c = ConfusionCounts(np.array([[4, 1], [2, 3]]))
-        m = binary_metrics(c)
+        m = averaged_metrics(c)
         assert m.precision[1] == pytest.approx(0.75)
         assert m.recall[1] == pytest.approx(0.6)
         assert m.accuracy[1] == pytest.approx(0.7)
 
     def test_perfect(self):
         c = ConfusionCounts(np.array([[5, 0], [0, 5]]))
-        m = binary_metrics(c)
+        m = averaged_metrics(c)
         assert m.precision[1] == m.recall[1] == m.accuracy[1] == 1.0
 
     def test_degenerate_precision_flagged(self):
         c = ConfusionCounts(np.array([[4, 0], [2, 0]]))  # tp=fp=0
-        m = binary_metrics(c)
+        m = averaged_metrics(c)
         assert m.precision[1] == 0.0
         assert any("precision" in f for f in m.degenerate_flags)
-
-    def test_needs_binary(self):
-        with pytest.raises(ValueError, match="C=2"):
-            binary_metrics(ConfusionCounts(np.eye(3, dtype=int)))
 
 
 def recount_oracle(matrix):
@@ -118,14 +114,6 @@ class TestAveragedMetrics:
         for attr in ("micro_precision", "micro_recall", "micro_accuracy",
                      "macro_precision", "macro_recall", "macro_accuracy"):
             assert getattr(a, attr) == pytest.approx(getattr(b, attr), abs=1e-12)
-
-    def test_binary_class1_entries_match_binary_metrics(self):
-        c = ConfusionCounts(np.array([[13, 4], [2, 11]]))
-        a = averaged_metrics(c)
-        b = binary_metrics(c)
-        assert a.precision[1] == b.precision[1]
-        assert a.recall[1] == b.recall[1]
-        assert a.accuracy[1] == b.accuracy[1]
 
     def test_micro_recall_equals_overall_accuracy(self):
         # Micro-averaged one-vs-rest recall collapses to trace/total.

@@ -8,12 +8,11 @@ from genflow import (
     ModelError,
     ModelSpec,
     fit_model,
-    fit_one_vs_all,
     model_from_document,
 )
-from genflow.models.linear import logistic_nll_grad, softmax_nll_grad
 from genflow.models.neural import nn_loss_grad
 from tests.conftest import make_binary, make_multiclass
+from tests.linear_engine import logistic_nll_grad, softmax_nll_grad
 
 SPECS = [
     ("logreg", {}),
@@ -307,14 +306,14 @@ class TestScoreContract:
 class TestOneVsAll:
     def test_binary_equivalence(self, binary_ds):
         single = fit_model(ModelSpec("logreg", {}, seed=0), binary_ds)
-        ova = fit_one_vs_all("logreg", {}, binary_ds, seed=0)
+        ova = fit_model(ModelSpec("ova_logreg", {}, seed=0), binary_ds)
         p = single.predict_scores(binary_ds)[:, 1]
         thresholded = (p >= 0.5).astype(int)
         assert np.array_equal(ova.predict_labels(binary_ds), thresholded)
 
     def test_three_class_separated_means(self):
         ds = make_multiclass(n=240, sep=6.0, seed=11)
-        ova = fit_one_vs_all("logreg", {}, ds, seed=0)
+        ova = fit_model(ModelSpec("ova_logreg", {}, seed=0), ds)
         pred = ova.predict_labels(ds)
         # Oracle: per-class scores enumerated directly from the members.
         per_class = np.column_stack(
@@ -332,7 +331,7 @@ class TestOneVsAll:
         ds = Dataset(rng.normal(size=(10, 2)), [0] * 5 + [1] * 5,
                      ("a", "b"), ("x", "y", "z"))  # class 2 declared, absent
         with pytest.raises(DataError, match="no training samples"):
-            fit_one_vs_all("logreg", {}, ds)
+            fit_model(ModelSpec("ova_logreg", {}), ds)
 
 
 class TestSerialization:

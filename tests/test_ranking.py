@@ -187,7 +187,7 @@ class TestChiSquared:
 class TestMrmr:
     def test_k1_matches_mutual_information_top(self, binary_ds):
         mi = mutual_information(binary_ds, 10)
-        mr = mrmr_rank(binary_ds, 10, k=1)
+        mr = mrmr_rank(binary_ds, 10)
         assert mr.order[0] == mi.order[0]
 
     def test_duplicate_top_feature_not_selected_second(self):
@@ -198,7 +198,7 @@ class TestMrmr:
         weak = y + rng.normal(scale=1.0, size=n)
         X = np.column_stack([strong, strong.copy(), weak, rng.normal(size=n)])
         ds = ds_from(X, y)
-        mr = mrmr_rank(ds, bin_count=4, k=2)
+        mr = mrmr_rank(ds, bin_count=4)
         chosen = set(mr.order[:2].tolist())
         # Oracle: evaluate the greedy criterion on every size-2 subset
         # that starts with the best single feature.
@@ -213,16 +213,9 @@ class TestMrmr:
         assert chosen == {first, best_second}
         assert 1 not in chosen or 0 not in chosen  # not both duplicates
 
-    def test_zero_redundancy_weight_reproduces_mi_order(self, binary_ds):
-        mi = mutual_information(binary_ds, 10)
-        mr = mrmr_rank(binary_ds, 10, k=binary_ds.n_features,
-                       redundancy_weight=0.0)
-        assert list(mr.order) == list(mi.order)
-
     def test_order_is_full_permutation(self, binary_ds):
-        mr = mrmr_rank(binary_ds, 10, k=2)
+        mr = mrmr_rank(binary_ds, 10)
         assert sorted(mr.order.tolist()) == list(range(binary_ds.n_features))
-        assert mr.selected_k == 2
 
 
 def pairwise_mi(ds, a, b, bins):

@@ -16,7 +16,6 @@ from genflow.models import (
     ModelError,
     ModelSpec,
     fit_model,
-    fit_one_vs_all,
     model_from_document,
 )
 from genflow.models.ova import OneVsAllModel
@@ -100,12 +99,6 @@ class TestRecords:
         assert set(BINARY_FAMILIES) <= set(FAMILIES)
         assert set(MULTICLASS_FAMILIES) <= set(FAMILIES)
         assert not [f for f in MULTICLASS_FAMILIES if FAMILIES[f].binary_only]
-
-    def test_one_vs_all_needs_a_record(self):
-        ds = toy(12, 2, 3, seed=0)
-        assert fit_one_vs_all("lssvm", {}, ds).spec.family == "ova_svm"
-        with pytest.raises(ModelError, match="no one-vs-all family over 'neural_net'"):
-            fit_one_vs_all("neural_net", {}, ds)
 
 
 class TestOneShape:

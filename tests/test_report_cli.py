@@ -7,6 +7,7 @@ import pytest
 
 from genflow import flow, run_flow
 from genflow.cli import main
+from genflow.models import FAMILIES
 from genflow.report import dimsweep_svg, emit_bundle, report_body, roc_svg
 from tests.test_flow import fast_config
 from tests.conftest import make_binary
@@ -165,6 +166,20 @@ class TestCli:
         assert code == 0
         assert (out / "report.json").exists()
         assert (out / "plots" / "roc_binary.svg").exists()
+
+    @pytest.mark.parametrize("preset", ["full", "thin"])
+    def test_report_grids_are_the_registry_grids(self, tmp_path, preset):
+        data = write_toy_csv(tmp_path / "toy.csv")
+        out = tmp_path / "out"
+        assert main(["--data", str(data), "--label-col", "label",
+                     "--families", "logreg", "--rankers", "fisher",
+                     "--grid-preset", preset, "--out", str(out)]) == 0
+        grids = json.loads((out / "report.json").read_text())["config"]["grids"]
+        expected = {n: f.thin_grid if preset == "thin" else f.grid
+                    for n, f in FAMILIES.items()}
+        # Key order too: json.loads keeps it, and dict equality ignores it.
+        assert [(n, list(g.items())) for n, g in grids.items()] == [
+            (n, list(g.items())) for n, g in expected.items()]
 
     def test_missing_required_flag_exit_1(self, tmp_path):
         assert main(["--data", "x.csv", "--out", str(tmp_path)]) == 1

@@ -16,6 +16,7 @@ from genflow import (
 )
 from genflow import flow, selection
 from genflow.flow import select_best_model
+from genflow.models import FAMILIES
 from genflow.ranking import RankedFeatures
 from tests import selection_reference as ref
 from tests.conftest import make_binary
@@ -126,8 +127,8 @@ class TestDecisionTwoTies:
         for module in (flow, ref):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(module, "sweep_parameters", fake_sweep)
-                mp.setattr(module, "FAMILIES", selection.FAMILIES | {
-                    name: selection.FAMILIES[name.split("#")[0]] for name in by_family})
+                mp.setattr(module, "FAMILIES", FAMILIES | {
+                    name: FAMILIES[name.split("#")[0]] for name in by_family})
                 try:
                     results.append(module.select_best_model(
                         list(by_family), data, folds, {n: {} for n in by_family}))

@@ -10,9 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from genflow import Dataset, make_interleaved_folds, stratified_split
 from genflow.models import ModelSpec, fit_model
 from genflow.models.base import row_max
-from genflow.models.linear import MultinomialLogregModel, _class_sums, softmax_nll_grad
+from genflow.models.linear import MultinomialLogregModel, _class_sums
 from genflow.models.neural import NeuralNetModel, nn_loss_grad
 from tests import linear_reference as reference
+from tests.linear_engine import softmax_nll_grad
 from tests.conftest import make_imbalanced6, make_multiclass
 
 # Entries that exercise the row maxima: signed zeros, infinities, ties.
