@@ -419,20 +419,21 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _refuse_oversized_kernel(config: FlowConfig, route: str, n_train: int,
-                             n_test: int) -> None:
+def _refuse_oversized_kernel(config: FlowConfig, route: str, n_train: int) -> None:
     """Refuse, before any fit, a run whose LS-SVM would not fit in memory.
-    The final refit on the whole training split and its test scoring bound
-    every fold and hierarchy-level fit."""
+    The final refit on the whole training split bounds every fold and
+    hierarchy-level fit.  Its packed system holds about
+    n_train (n_train + 256) / 2 words, and the test rows are scored in
+    256-row chunks, so the test split does not enter the estimate."""
     flat, levels = _route_families(config, route)
     if not {*flat, *(levels if config.hierarchy else ())} & {"lssvm", "ova_svm"}:
         return
-    estimate = lssvm_peak_bytes(n_train, n_test)
+    estimate = lssvm_peak_bytes(n_train)
     available = physical_memory_bytes()
     if estimate > available:
         raise DataError(
-            f"the LS-SVM families need about {estimate / 2**30:.1f} GiB for "
-            f"{n_train} training and {n_test} test rows, more than the "
+            f"the LS-SVM families need about {estimate / 2**30:.2f} GiB to fit "
+            f"{n_train} training rows, more than the "
             f"{available / 2**30:.1f} GiB of physical memory; drop lssvm/ova_svm "
             "from --families or lower --train-fraction")
 
@@ -443,7 +444,7 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
     trail: list[dict] = []
     split = stratified_split(data, config.train_fraction, config.seed)
     route = decision_route(data)
-    _refuse_oversized_kernel(config, route, split.train.n_samples, split.test.n_samples)
+    _refuse_oversized_kernel(config, route, split.train.n_samples)
     trail.append({
         "stage": "split",
         "inputs": {"train_fraction": config.train_fraction, "seed": config.seed},

@@ -1,20 +1,22 @@
-"""Least-squares SVM with RBF kernel, trained by one dense Cholesky solve.
+"""Least-squares SVM with RBF kernel, trained by one packed Cholesky solve.
 
 The squared-slack, equality-constrained margin objective has a dual that
 is a single (n+1) x (n+1) linear system; its solution gives one dual
 coefficient per training row plus a bias.  The system's n x n block
-H = Omega + lam I is symmetric positive definite, so the fit factors it in
-place by a blocked Cholesky and gets the bias from two triangular solves
-(Suykens et al., *Least Squares Support Vector Machines*, 2002).  The
-decision value is sum_j alpha_j y_j K(x, x_j) + bias, squashed to [0,1] by
-a logistic map so thresholding behaves like the probabilistic families.
-The squash is strictly monotone, so ROC/AUC are unaffected by it.
+H = Omega + lam I is symmetric positive definite, so the fit factors it
+and gets the bias from two triangular solves (Suykens et al., *Least
+Squares Support Vector Machines*, 2002).  The decision value is
+sum_j alpha_j y_j K(x, x_j) + bias, squashed to [0,1] by a logistic map so
+thresholding behaves like the probabilistic families.  The squash is
+strictly monotone, so ROC/AUC are unaffected by it.
 
-Memory: the kernel is computed inside its destination, so the dual matrix
-is built in one (n+1)^2 buffer and a fit on n rows holds about
-(n+1)^2*8 bytes; the factor then overwrites that buffer.  Scoring m rows
-against n support rows holds the m x n kernel, about m*n*8 bytes.  Each
-kernel adds a scratch of ROW_BLOCK x n (``peak_bytes``).  ``run_flow``
+Memory: only the lower triangle of H is stored, as block rows of
+``BLOCK`` rows in one flat buffer (block row k holds rows i_k:j_k,
+columns 0:j_k), about n(n + BLOCK)/2 words; the Cholesky factor overwrites
+it block row by block row.  The factor also keeps the inverses of its
+diagonal blocks, at most BLOCK*n words.  Scoring m rows computes the
+kernel over ``BLOCK``-row chunks through one BLOCK x n slab, so no m x n
+kernel is ever whole.  ``peak_bytes`` is the estimate; ``run_flow``
 refuses a job whose estimate exceeds physical memory (CLI exit 2).
 """
 
@@ -32,6 +34,9 @@ __all__ = ["LssvmModel", "peak_bytes", "rbf_kernel"]
 # through all five, and its scratch is the kernel's only temporary.
 ROW_BLOCK = 32
 
+# Rows per block row of the packed system, and per scoring chunk.
+BLOCK = 256
+
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float,
                out: np.ndarray | None = None) -> np.ndarray:
@@ -39,11 +44,11 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float,
     (a new array if None).
 
     The product 2 A B' is written straight into ``out`` by one GEMM (a
-    strided view such as the dual system's ``[1:, 1:]`` block included),
-    and the squared distances and ``exp`` replace it by blocks of
-    ``ROW_BLOCK`` rows.  One m x n buffer and one ROW_BLOCK x n scratch are
-    live at the peak.  The GEMM is not split: products over narrower
-    column or row blocks differ from it in the last bits."""
+    strided view included), and the squared distances and ``exp`` replace
+    it by blocks of ``ROW_BLOCK`` rows.  One m x n buffer and one
+    ROW_BLOCK x n scratch are live at the peak.  The GEMM is not split
+    here, but the LS-SVM calls this on row blocks of A: such a product
+    can differ from the whole-matrix one in the last bits."""
     out = np.matmul(2.0 * A, B.T, out=out)
     a2 = np.sum(A * A, axis=1)[:, None]
     b2 = np.sum(B * B, axis=1)[None, :]
@@ -60,101 +65,133 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float,
     return out
 
 
-def _dual_system(Xs: np.ndarray, y: np.ndarray, gamma: float, lam: float
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dual matrix [[0, y'], [y, Omega + lam I]] and right-hand side [0, 1..1].
-    Omega = (y y') * K is built in place inside the matrix; y is +-1, so
-    scaling rows then columns by it is exact."""
+def _packed_words(n: int) -> int:
+    """Words of the packed lower triangle: block row k is b_k x j_k."""
+    return sum((min(i + BLOCK, n) - i) * min(i + BLOCK, n) for i in range(0, n, BLOCK))
+
+
+def _packed_system(Xs: np.ndarray, y: np.ndarray, gamma: float, lam: float
+                   ) -> list[np.ndarray]:
+    """The lower triangle of H = Omega + lam I, Omega = (y y') * K, as
+    C-contiguous block rows: views into one flat buffer, block row k being
+    rows i:j and columns 0:j of H (its diagonal block is whole).  Each is
+    the kernel of its own row block, scaled by the +-1 signs (exact), with
+    signed zeros cleared and lam added on the diagonal."""
     n = len(y)
-    A = np.empty((n + 1, n + 1))
-    A[0, 0] = 0.0
-    A[0, 1:] = y
-    A[1:, 0] = y
-    omega = rbf_kernel(Xs, Xs, gamma, out=A[1:, 1:])
-    omega *= y[:, None]
-    omega *= y[None, :]
-    omega += 0.0  # -0.0 -> +0.0 where K underflowed and y_i y_j = -1
-    diag = np.arange(1, n + 1)
-    A[diag, diag] += lam
-    rhs = np.zeros(n + 1)
-    rhs[1:] = 1.0
-    return A, rhs
-
-
-BLOCK = 256  # columns per block of the factor
-# Rows per block of the triangular solves.  NumPy has no triangular solve,
-# so each diagonal block takes an LU (np.linalg.solve), which small blocks
-# keep cheap; with two right-hand sides larger blocks gain no GEMM speed.
-# It divides BLOCK, so each solve block lies in one of the factor's
-# diagonal blocks, whose upper triangle holds zeros.
-SOLVE_BLOCK = 32
-
-
-def _cholesky_in_place(H: np.ndarray) -> None:
-    """Overwrite the lower triangle of the SPD matrix ``H`` with its Cholesky
-    factor L (H = L L'), left-looking by blocks of ``BLOCK`` columns; raise
-    ``np.linalg.LinAlgError`` if a diagonal block is not positive definite.
-
-    Each block column takes one product with the columns left of it, a
-    ``np.linalg.cholesky`` of its diagonal block, and one product of the
-    panel below with that block's inverse.  Diagonal blocks are written
-    whole, so they hold L with zeros above.  The products are written,
-    transposed, into ``H[:b, i:]`` with b <= i: that slice lies in the
-    strictly upper triangle, which the factor never reads, so no
-    (n - i) x b temporary is allocated (it would be taken from the heap
-    and kept between fits)."""
-    n = H.shape[0]
+    flat = np.empty(_packed_words(n))
+    rows = []
     for i in range(0, n, BLOCK):
         j = min(i + BLOCK, n)
-        b = j - i
-        col = H[i:, i:j]
+        start = sum(R.size for R in rows)
+        R = flat[start:start + (j - i) * j].reshape(j - i, j)
+        rbf_kernel(Xs[i:j], Xs[:j], gamma, out=R)
+        R *= y[i:j, None]
+        R *= y[None, :j]
+        R += 0.0  # -0.0 -> +0.0 where K underflowed and y_i y_j = -1
+        R.reshape(-1)[i::j + 1] += lam  # entries (r, i + r)
+        rows.append(R)
+    return rows
+
+
+def _lower_inverse(L: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write inv(L) of a lower-triangular ``L`` into ``out`` (zeros above
+    the diagonal), row by row by forward substitution.  ``np.linalg.inv``
+    would take an LU of the already triangular block: it is about twice as
+    slow at 256 rows, and its blocked LAPACK path raised the peak RSS of a
+    WBC-sized benchmark run by about 0.5 MB (OpenBLAS, x86-64)."""
+    for r in range(len(L)):
+        out[r, :r] = -(L[r, :r] @ out[:r, :r]) / L[r, r]
+        out[r, r] = 1.0 / L[r, r]
+    return out
+
+
+def _factor_in_place(rows: list[np.ndarray]) -> list[np.ndarray]:
+    """Overwrite the packed block rows of the SPD matrix H with those of its
+    Cholesky factor L (H = L L'), up-looking, and return the inverses of
+    L's diagonal blocks; raise ``np.linalg.LinAlgError`` if a diagonal
+    block is not positive definite.
+
+    Block row k reads only the finished rows above it.  Each earlier block
+    m becomes (H_km - L_k,<m L_m,<m') inv(L_mm)'; then the diagonal block
+    takes the product L_k,<k L_k,<k' off and a ``np.linalg.cholesky``, and
+    is written whole, with zeros above.  Every product goes through one
+    scratch, and the inverses share one flat buffer, so a fit allocates no
+    temporary per block."""
+    # Products start at the second block row; none is wider than the first.
+    b0 = rows[0].shape[0]
+    scratch = np.empty(b0 * max((R.shape[0] for R in rows[1:]), default=0))
+    flat = np.zeros(sum(R.shape[0] ** 2 for R in rows))
+    inverses: list[np.ndarray] = []
+    for R in rows:
+        b, j = R.shape
+        for Rm, inv_m in zip(rows, inverses):  # the finished block rows
+            bm, jm = Rm.shape
+            im = jm - bm
+            T = scratch[:b * bm].reshape(b, bm)
+            S = R[:, im:jm]
+            if im:
+                S -= np.matmul(R[:, :im], Rm[:, :im].T, out=T)
+            S[...] = np.matmul(S, inv_m.T, out=T)
+        i = j - b
+        D = R[:, i:]
         if i:
-            upd = np.matmul(H[i:j, :i], H[i:, :i].T, out=H[:b, i:])
-            col -= upd.T
-        col[:b] = np.linalg.cholesky(col[:b])
-        if j < n:
-            panel = np.matmul(np.linalg.inv(col[:b]), col[b:].T, out=H[:b, j:])
-            col[b:] = panel.T
+            D -= np.matmul(R[:, :i], R[:, :i].T, out=scratch[:b * b].reshape(b, b))
+        D[...] = np.linalg.cholesky(D)
+        start = sum(inv.size for inv in inverses)
+        inverses.append(_lower_inverse(D, flat[start:start + b * b].reshape(b, b)))
+    return inverses
 
 
-def _cholesky_solve(H: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _solve_in_place(rows: list[np.ndarray], inverses: list[np.ndarray],
+                    X: np.ndarray) -> np.ndarray:
     """Overwrite ``X`` with the solution of (L L') Z = X for the factor that
-    ``_cholesky_in_place`` left in ``H``: a forward then a backward solve
-    by blocks of ``SOLVE_BLOCK`` rows."""
-    n = H.shape[0]
-    starts = range(0, n, SOLVE_BLOCK)
-    for i in starts:
-        j = min(i + SOLVE_BLOCK, n)
+    ``_factor_in_place`` left in ``rows``: a forward then a backward solve
+    by block rows, each diagonal block applied through its inverse."""
+    for R, inv in zip(rows, inverses):
+        b, j = R.shape
+        i = j - b
         if i:
-            X[i:j] -= H[i:j, :i] @ X[:i]
-        X[i:j] = np.linalg.solve(H[i:j, i:j], X[i:j])
-    for i in reversed(starts):
-        j = min(i + SOLVE_BLOCK, n)
-        if j < n:
-            X[i:j] -= H[j:, i:j].T @ X[j:]
-        X[i:j] = np.linalg.solve(H[i:j, i:j].T, X[i:j])
+            X[i:j] -= R[:, :i] @ X[:i]
+        X[i:j] = inv @ X[i:j]
+    for R, inv in zip(reversed(rows), reversed(inverses)):
+        b, j = R.shape
+        i = j - b
+        X[i:j] = inv.T @ X[i:j]
+        if i:
+            X[:i] -= R[:, :i].T @ X[i:j]
     return X
 
 
-def _dual_solution(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(alpha, bias)`` solving the bordered dual system ``A`` from
-    ``_dual_system`` (right-hand side [0, 1..1]); ``A`` is overwritten.
-
-    With H = Omega + lam I (SPD) factored in place, eta = H^-1 y and
-    nu = H^-1 1 give bias = y'nu / y'eta and alpha = nu - bias * eta."""
-    y = A[1:, 0]
-    H = A[1:, 1:]
-    _cholesky_in_place(H)
-    eta, nu = _cholesky_solve(H, np.column_stack([y, np.ones_like(y)])).T
+def _dual_coefficients(rows: list[np.ndarray], y: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(alpha, bias)`` of the bordered dual system [[0, y'], [y, H]] with
+    right-hand side [0, 1..1], for H packed in ``rows`` (overwritten by its
+    factor).  With eta = H^-1 y and nu = H^-1 1, bias = y'nu / y'eta and
+    alpha = nu - bias * eta."""
+    inverses = _factor_in_place(rows)
+    eta, nu = _solve_in_place(rows, inverses, np.column_stack([y, np.ones_like(y)])).T
     bias = float(y @ nu / (y @ eta))
     return nu - bias * eta, bias
 
 
-def peak_bytes(n_fit: int, n_score: int) -> int:
-    """Bytes held at the peak of a fit on ``n_fit`` rows or of scoring
-    ``n_score`` rows against them, whichever is larger: the dual system or
-    the scoring kernel, plus the kernel's row-block scratch."""
-    return 8 * (max((n_fit + 1) ** 2, n_score * n_fit) + ROW_BLOCK * n_fit)
+def _kernel_times(Q: np.ndarray, S: np.ndarray, gamma: float, w: np.ndarray) -> np.ndarray:
+    """``rbf_kernel(Q, S, gamma) @ w``, computed over ``BLOCK``-row chunks
+    of Q through one slab of at most BLOCK x len(S)."""
+    f = np.empty(len(Q))
+    slab = np.empty((min(BLOCK, len(Q)), len(S)))
+    for i in range(0, len(Q), BLOCK):
+        q = Q[i:i + BLOCK]
+        np.matmul(rbf_kernel(q, S, gamma, out=slab[:len(q)]), w, out=f[i:i + BLOCK])
+    return f
+
+
+def peak_bytes(n_fit: int) -> int:
+    """Bytes held at the peak of an LS-SVM fit on ``n_fit`` rows, which
+    bounds scoring against them too: the packed system, the inverses of its
+    diagonal blocks (at most BLOCK x n_fit), one more BLOCK x n_fit that
+    bounds the scoring slab and, once n_fit >= 3 BLOCK, the factor's
+    scratch with ``np.linalg.cholesky``'s two copies of a diagonal block,
+    and the kernel's ROW_BLOCK x n_fit scratch."""
+    return 8 * (_packed_words(n_fit) + (2 * BLOCK + ROW_BLOCK) * n_fit)
 
 
 class LssvmModel(TrainedModel):
@@ -166,23 +203,27 @@ class LssvmModel(TrainedModel):
         gamma = float(spec.param("kernel_gamma", 1.0 / train.n_features))
         y = encode_sign_labels(train).astype(float)
         Xs, mu, sd = standardize(train.features)
-        alpha, bias = _dual_solution(_dual_system(Xs, y, gamma, lam)[0])
+        alpha, bias = _dual_coefficients(_packed_system(Xs, y, gamma, lam), y)
         return cls(spec, train.feature_names, train.class_names,
                    Xs, y, alpha, bias, mu, sd)
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         Xs = (X - self.mu) / self.sd
-        K = rbf_kernel(Xs, self.support,
-                       float(self.spec.param("kernel_gamma", 1.0 / X.shape[1])))
-        return K @ (self.alpha * self.signs) + self.bias
+        gamma = float(self.spec.param("kernel_gamma", 1.0 / X.shape[1]))
+        return _kernel_times(Xs, self.support, gamma, self.alpha * self.signs) + self.bias
 
     def _positive_scores(self, X: np.ndarray) -> np.ndarray:
         return squash(self.decision_values(X))
 
     def system_residual(self) -> float:
-        """Relative residual of the dual linear system at the fitted solution."""
+        """Relative residual of the bordered dual system [[0, y'], [y, H]]
+        [bias; alpha] = [0; 1..1] at the fitted solution, with H's rows
+        streamed by ``BLOCK``-row chunks."""
         lam = float(self.spec.param("lambda", 1e-6))
         gamma = float(self.spec.param("kernel_gamma", 1.0 / self.support.shape[1]))
-        A, rhs = _dual_system(self.support, self.signs, gamma, lam)
-        sol = np.concatenate([[self.bias], self.alpha])
-        return float(np.linalg.norm(A @ sol - rhs) / np.linalg.norm(rhs))
+        y, alpha = self.signs, self.alpha
+        r = np.empty(len(y) + 1)
+        r[0] = y @ alpha
+        r[1:] = (y * self.bias + y * _kernel_times(self.support, self.support, gamma, y * alpha)
+                 + lam * alpha - 1.0)
+        return float(np.linalg.norm(r) / np.sqrt(len(y)))

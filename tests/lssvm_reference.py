@@ -1,12 +1,14 @@
-"""Reference LS-SVM builders: the RBF kernel and dual system that
-``genflow.models.lssvm`` replaced with an in-place build, kept unchanged
-as a test oracle.
+"""Reference LS-SVM builders: the RBF kernel and the square, bordered
+(n+1) x (n+1) dual system that ``genflow.models.lssvm`` replaced with a
+packed build of the lower triangle, kept as a test oracle.
 
 Here the kernel, the ``y y'`` outer product, Omega and ``lam * eye(n)``
 are separate n x n arrays and the dual matrix is allocated after them.
-The in-place build must reproduce the matrix, its solution and every
-kernel value bit for bit.  ``solve_dual`` is the dense LU solve of the
-bordered system that the blocked Cholesky fit replaced.
+``rbf_kernel`` must reproduce every kernel value bit for bit.  The packed
+build computes each block row's kernel by its own GEMM, so its lower
+triangle matches ``_dual_system`` within a rounding bound, not bit for
+bit.  ``solve_dual`` is the dense LU solve of the bordered system that the
+Cholesky fit replaced.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
-"""The LS-SVM dual system and RBF kernel are built in place: the same bits
-as the reference builders in ``tests/lssvm_reference.py`` with half the
-live n x n buffers, and a run whose LS-SVM would not fit in memory is
-refused before any fit."""
+"""The LS-SVM dual system is built packed, as block rows of its lower
+triangle in one buffer: each block row has the bits of ``rbf_kernel`` on
+its own row block, and the whole triangle stays within a stated rounding
+bound of the dense reference builder in ``tests/lssvm_reference.py``.  A
+fit holds no square system and scoring no whole kernel, and a run whose
+LS-SVM would not fit in memory is refused before any fit."""
 
 import tracemalloc
 
@@ -9,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genflow import DataError, FlowConfig, HierarchyLevel, HierarchySpec, flow, run_flow
+from genflow import DataError, Dataset, FlowConfig, HierarchyLevel, HierarchySpec, flow, run_flow
 from genflow.cli import main
-from genflow.models.lssvm import ROW_BLOCK, _dual_system, peak_bytes, rbf_kernel
+from genflow.models import ModelSpec, fit_model
+from genflow.models.lssvm import (BLOCK, ROW_BLOCK, LssvmModel, _packed_system, peak_bytes,
+                                  rbf_kernel)
 from tests import lssvm_reference as ref
 from tests.conftest import make_binary, make_multiclass
 from tests.test_evaluation_paths import forbid_fits
@@ -41,24 +45,70 @@ def dual_inputs(draw):
     return X, y, Q
 
 
+def lower_triangle(rows):
+    """The dense n x n lower triangle that the block rows hold, with zeros
+    above the diagonal."""
+    n = rows[-1].shape[1]
+    H = np.zeros((n, n))
+    for R in rows:
+        b, j = R.shape
+        H[j - b:j, :j] = R
+    return np.tril(H)
+
+
+def signed_block_row(X, y, gamma, lam, i, j):
+    """Rows i:j, columns 0:j of Omega + lam I from ``rbf_kernel`` on the row block."""
+    R = np.outer(y[i:j], y[:j]) * rbf_kernel(X[i:j], X[:j], gamma) + 0.0
+    R[:, i:] += lam * np.eye(j - i)
+    return R
+
+
 class TestInPlaceBuild:
     @settings(max_examples=120, deadline=None)
     @given(inputs=dual_inputs(), gamma=st.sampled_from([1e-3, 0.1, 1.0, 10.0]),
            lam=st.sampled_from([1e-6, 1e-2]))
     def test_matches_reference_bits(self, inputs, gamma, lam):
         X, y, Q = inputs
-        A, rhs = _dual_system(X, y, gamma, lam)
-        A_ref, rhs_ref = ref._dual_system(X, y, gamma, lam)
-        assert same_bits(A, A_ref)
-        assert same_bits(rhs, rhs_ref)
-        assert same_bits(np.linalg.solve(A, rhs), np.linalg.solve(A_ref, rhs_ref))
+        rows = _packed_system(X, y, gamma, lam)
+        assert [R.shape for R in rows] == [(min(i + BLOCK, len(y)) - i, min(i + BLOCK, len(y)))
+                                           for i in range(0, len(y), BLOCK)]
+        for R in rows:
+            b, j = R.shape
+            assert same_bits(R, signed_block_row(X, y, gamma, lam, j - b, j))
         assert same_bits(rbf_kernel(Q, X, gamma), ref.rbf_kernel(Q, X, gamma))
+
+    @settings(max_examples=120, deadline=None)
+    @given(inputs=dual_inputs(), gamma=st.sampled_from([1e-3, 0.1, 1.0, 10.0]),
+           lam=st.sampled_from([1e-6, 1e-2]))
+    def test_lower_triangle_near_reference(self, inputs, gamma, lam):
+        # A block row's GEMM X[i:j] @ X[:j]' may round differently from the
+        # whole X @ X'.  Each product 2 a.b then moves by at most
+        # d eps (|a|^2 + |b|^2), so K moves by a factor of at most
+        # exp(gamma d eps (|a|^2 + |b|^2)); exp and the lam sum add an ulp each.
+        X, y, _ = inputs
+        H = lower_triangle(_packed_system(X, y, gamma, lam))
+        H_ref = np.tril(ref._dual_system(X, y, gamma, lam)[0][1:, 1:])
+        norms = np.sum(X * X, axis=1)
+        drift = np.expm1(gamma * X.shape[1] * np.finfo(float).eps
+                         * (norms[:, None] + norms[None, :]))
+        bound = np.abs(H_ref) * drift + 4 * np.spacing(np.abs(H_ref))
+        assert (np.abs(H - H_ref) <= bound).all()
+        assert not (np.signbit(H) & (H == 0)).any()
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_block_rows_share_one_buffer(self, n):
+        rows = _packed_system(np.random.default_rng(n).normal(size=(n, 3)), np.ones(n),
+                              0.5, 1e-3)
+        base = rows[0].base
+        assert all(R.base is base and R.flags.c_contiguous for R in rows)
+        assert sum(R.size for R in rows) == base.size
+        assert base.size <= n * (n + BLOCK) // 2 + BLOCK * BLOCK
 
     def test_signed_zeros_cleared(self):
         # Far rows give K = 0.0; y_i y_j = -1 would make it -0.0 in Omega.
         X = np.array([[0.0], [100.0]])
-        A, _ = _dual_system(X, np.array([1.0, -1.0]), 10.0, 1e-6)
-        assert A[1, 2] == 0.0 and np.signbit(A[1:, 1:]).sum() == 0
+        (R,) = _packed_system(X, np.array([1.0, -1.0]), 10.0, 1e-6)
+        assert R[1, 0] == 0.0 and np.signbit(R).sum() == 0
 
     def test_out_is_filled_and_returned(self):
         rng = np.random.default_rng(0)
@@ -80,7 +130,7 @@ class TestInPlaceBuild:
         if layout == "new":
             assert same_bits(rbf_kernel(A, B, 0.3), expected)
             return
-        # the dual system's strided [1:, 1:] block, or an offset view
+        # the strided [1:, 1:] block of a bordered buffer, or an offset view
         buf = np.full((m + 1, n + 1) if layout == "bordered" else (m + 5, n + 7), np.nan)
         out = buf[1:, 1:] if layout == "bordered" else buf[2:m + 2, 4:n + 4]
         K = rbf_kernel(A, B, 0.3, out=out)
@@ -99,25 +149,32 @@ def traced_peak(fn, *args):
 
 
 class TestPeakMemory:
-    def test_dual_system_two_matrices(self):
-        n = 1500
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(n, 10))
-        y = np.where(rng.random(n) < 0.4, -1.0, 1.0)
-        assert traced_peak(_dual_system, X, y, 0.1, 1e-6) <= 2.1 * (n + 1) ** 2 * 8
-
     def test_kernel_two_buffers(self):
         m, n = 3000, 1500
         rng = np.random.default_rng(2)
         Q, X = rng.normal(size=(m, 10)), rng.normal(size=(n, 10))
         assert traced_peak(rbf_kernel, Q, X, 0.1) <= 2.1 * m * n * 8
 
-    def test_dual_system_one_matrix(self):
+    def test_fit_within_peak_bytes(self):
         n = 1500
         rng = np.random.default_rng(1)
-        X = rng.normal(size=(n, 10))
-        y = np.where(rng.random(n) < 0.4, -1.0, 1.0)
-        assert traced_peak(_dual_system, X, y, 0.1, 1e-6) <= 1.1 * (n + 1) ** 2 * 8
+        ds = Dataset(rng.normal(size=(n, 10)), (rng.random(n) < 0.4).astype(int),
+                     tuple(f"f{i}" for i in range(10)), ("neg", "pos"))
+        spec = ModelSpec("lssvm", {"lambda": 1e-6, "kernel_gamma": 0.1})
+        assert traced_peak(fit_model, spec, ds) <= 1.1 * peak_bytes(n)
+
+    def test_scoring_peak_independent_of_m(self):
+        n, d = 1500, 10
+        rng = np.random.default_rng(4)
+        model = LssvmModel(ModelSpec("lssvm", {"kernel_gamma": 0.1}), (), ("neg", "pos"),
+                           rng.normal(size=(n, d)), np.ones(n), rng.normal(size=n), 0.5,
+                           np.zeros(d), np.ones(d))
+        Q = rng.normal(size=(3000, d))
+        small = traced_peak(model.decision_values, Q[:BLOCK + 1])
+        large = traced_peak(model.decision_values, Q)
+        # only the m x d standardized rows, its temporary and the m values grow
+        assert large - small <= 8 * (len(Q) - BLOCK - 1) * (2 * d + 1)
+        assert large <= 8 * ((BLOCK + ROW_BLOCK) * n + len(Q) * (2 * d + 1)) + (1 << 16)
 
     def test_kernel_one_buffer(self):
         m, n = 3000, 1500
@@ -168,14 +225,27 @@ class TestOversizedKernelRefused:
         with pytest.raises(DataError, match="physical memory"):
             run_flow(data, FlowConfig(candidate_families=families, hierarchy=hierarchy))
 
-    def test_bound_is_the_refit_or_the_test_kernel(self, monkeypatch):
-        n_train, n_test = 5706, 13314  # the telescope split: the test kernel dominates
-        estimate = 8 * (n_test * n_train + ROW_BLOCK * n_train)
-        assert peak_bytes(n_train, n_test) == estimate
-        assert peak_bytes(n_train, 10) == 8 * ((n_train + 1) ** 2 + ROW_BLOCK * n_train)
+    @pytest.mark.parametrize("n_train, gib", [(5706, 0.15), (13314, 0.73)])
+    def test_bound_is_the_packed_refit(self, monkeypatch, n_train, gib):
+        # the telescope split at the default --train-fraction 0.3 and at 0.7
+        blocks = [(i, min(i + BLOCK, n_train)) for i in range(0, n_train, BLOCK)]
+        estimate = 8 * (sum((j - i) * j for i, j in blocks)
+                        + (2 * BLOCK + ROW_BLOCK) * n_train)
+        assert peak_bytes(n_train) == estimate
+        assert round(estimate / 2**30, 2) == gib
         config = FlowConfig(candidate_families=("lssvm",))
         monkeypatch.setattr(flow, "physical_memory_bytes", lambda: estimate)
-        flow._refuse_oversized_kernel(config, "binary", n_train, n_test)
+        flow._refuse_oversized_kernel(config, "binary", n_train)
         monkeypatch.setattr(flow, "physical_memory_bytes", lambda: estimate - 1)
-        with pytest.raises(DataError):
-            flow._refuse_oversized_kernel(config, "binary", n_train, n_test)
+        with pytest.raises(DataError, match=f"{gib:.2f} GiB to fit {n_train} training rows"):
+            flow._refuse_oversized_kernel(config, "binary", n_train)
+
+    def test_paper_split_refused_before_any_fit(self, monkeypatch):
+        # MAGIC Telescope's 12332 / 6688 classes at --train-fraction 0.7
+        labels = np.repeat([0, 1], [12332, 6688])
+        data = Dataset(np.random.default_rng(0).normal(size=(len(labels), 10)), labels,
+                       tuple(f"f{i}" for i in range(10)), ("g", "h"))
+        monkeypatch.setattr(flow, "physical_memory_bytes", lambda: peak_bytes(13314) - 1)
+        forbid_fits(monkeypatch)
+        with pytest.raises(DataError, match="0.73 GiB to fit 13314 training rows"):
+            run_flow(data, FlowConfig(candidate_families=("lssvm",), train_fraction=0.7))

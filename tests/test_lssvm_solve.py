@@ -1,8 +1,9 @@
-"""The LS-SVM fit solves its dual by an in-place blocked Cholesky of
+"""The LS-SVM fit solves its dual by an up-looking Cholesky of the packed
 H = Omega + lam I.  It must give the factor ``np.linalg.cholesky`` gives,
 the (alpha, bias) of the dense bordered solve in ``tests/lssvm_reference.py``
-and decision values of the same sign, across the block edges; a matrix
-that is not positive definite is a typed fit failure."""
+and decision values of the same sign, across the block edges; scoring by
+row chunks must match the whole kernel; a matrix that is not positive
+definite is a typed fit failure."""
 
 import json
 
@@ -11,27 +12,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genflow.cli import main
-from genflow.models import lssvm
-from genflow.models.lssvm import (BLOCK, _cholesky_in_place, _dual_solution, _dual_system,
+from genflow.models import ModelSpec, lssvm
+from genflow.models.lssvm import (BLOCK, LssvmModel, _dual_coefficients, _packed_system,
                                   rbf_kernel)
 from tests import lssvm_reference as ref
-from tests.test_lssvm_builder import dual_inputs
+from tests.test_lssvm_builder import dual_inputs, lower_triangle
 from tests.test_report_cli import write_toy_csv
 
 
 def check_against_oracle(X, y, Q, gamma, lam):
-    A, rhs = _dual_system(X, y, gamma, lam)
+    A, rhs = ref._dual_system(X, y, gamma, lam)
     H = A[1:, 1:].copy()
-    L = H.copy()
-    _cholesky_in_place(L)
-    L = np.tril(L)
-    # L L' reproduces H at every lam.  The panels are multiplied by explicit
-    # inverses of the diagonal blocks, so the error grows with their
-    # condition: 1.8e-12 relative at lam = 1e-6 with duplicated wide rows.
+    rows = _packed_system(X, y, gamma, lam)
+    alpha, bias = _dual_coefficients(rows, y)
+    L = lower_triangle(rows)
+    # L L' reproduces H at every lam.  At lam = 1e-6 with duplicated wide
+    # rows H is nearly singular: over 300 random draws the error reached
+    # 3.6e-11 relative, in a single diagonal block, so from
+    # np.linalg.cholesky itself (the square factor gave the same).
     assert np.abs(L @ L.T - H).max() <= 1e-10 * np.abs(H).max()
 
-    sol = ref.solve_dual(A.copy(), rhs)
-    alpha, bias = _dual_solution(A)
+    sol = ref.solve_dual(A, rhs)
     if lam == 1e-2:  # cond(H) <= (n + lam) / lam, so forward errors stay small
         L_ref = np.linalg.cholesky(H)
         assert np.abs(L - L_ref).max() <= 1e-10 * np.abs(L_ref).max()
@@ -61,27 +62,38 @@ class TestBlockedCholesky:
         y = np.where(rng.random(n) < 0.4, -1.0, 1.0)
         check_against_oracle(X, y, rng.normal(size=(50, 5)), 0.2, lam)
 
-    def test_strictly_upper_triangle_is_never_read(self):
-        rng = np.random.default_rng(3)
-        n = 2 * BLOCK + 7
-        H = _dual_system(rng.normal(size=(n, 4)), np.ones(n), 0.5, 1e-3)[0][1:, 1:]
-        poisoned = H.copy()
-        poisoned[np.triu_indices(n, 1)] = np.nan
-        _cholesky_in_place(H)
-        _cholesky_in_place(poisoned)
-        assert np.tril(poisoned).tobytes() == np.tril(H).tobytes()
-
     @pytest.mark.parametrize("n", [1, BLOCK + 3])
     def test_not_positive_definite_raises(self, n):
         rng = np.random.default_rng(5)
-        A, _ = _dual_system(rng.normal(size=(n, 3)), np.ones(n), 0.5, -2.0 * n)
+        rows = _packed_system(rng.normal(size=(n, 3)), np.ones(n), 0.5, -2.0 * n)
         with pytest.raises(np.linalg.LinAlgError):
-            _dual_solution(A)
+            _dual_coefficients(rows, np.ones(n))
+
+
+class TestStreamedScoring:
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=dual_inputs(), gamma=st.sampled_from([1e-3, 0.1, 1.0, 10.0]),
+           m=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_whole_kernel(self, inputs, gamma, m, seed):
+        X, y, _ = inputs
+        n, d = X.shape
+        rng = np.random.default_rng(seed)
+        alpha, bias = rng.normal(size=n), float(rng.normal())
+        Q = X[rng.integers(0, n, size=m)] + rng.normal(size=(m, d)) * rng.random((m, 1))
+        model = LssvmModel(ModelSpec("lssvm", {"kernel_gamma": gamma}), (), ("neg", "pos"),
+                           X, y, alpha, bias, np.zeros(d), np.ones(d))
+        f = model.decision_values(Q)
+        f_whole = rbf_kernel(Q, X, gamma) @ (alpha * y) + bias
+        scale = np.abs(alpha).sum() + abs(bias)
+        np.testing.assert_allclose(f, f_whole, rtol=1e-12, atol=1e-12 * scale)
+        decided = np.abs(f_whole) > 1e-9
+        assert (np.sign(f[decided]) == np.sign(f_whole[decided])).all()
 
 
 def test_failed_factor_is_a_failed_grid_point(tmp_path, monkeypatch):
-    real = lssvm._dual_system
-    monkeypatch.setattr(lssvm, "_dual_system",
+    real = lssvm._packed_system
+    monkeypatch.setattr(lssvm, "_packed_system",
                         lambda Xs, y, gamma, lam: real(Xs, y, gamma, -1e3))
     data = write_toy_csv(tmp_path / "toy.csv")
     out = tmp_path / "out"
