@@ -8,7 +8,8 @@ sweep, one ranking pass, dimensionality sweep, whose winning fits give the
 out-of-fold metrics.  Hierarchy levels are binarized on both splits before
 any fit (an empty or one-sided level, or one with fewer training rows than
 folds, is a DataError) and scored from there; a task that no requested
-family applies to is a DataError at the same point.
+family applies to, or a swept family with no grid in the config, is a
+DataError at the same point.
 
 Decision 3 (flat vs hierarchical) is evaluated on out-of-fold training
 predictions so that the test split influences nothing before the final
@@ -266,10 +267,7 @@ def select_best_model(candidates, train: Dataset, folds: FoldPlan, grids,
         raise DataError("no candidate families")
     results = []
     for family in candidates:
-        grid = grids.get(family, FAMILIES[family].grid if family in FAMILIES else None)
-        if grid is None:
-            raise DataError(f"no grid for family {family!r}")
-        results.append(sweep_parameters(family, grid, train, folds, seed=seed))
+        results.append(sweep_parameters(family, grids[family], train, folds, seed=seed))
     if all(row["note"] for result in results for row in result.table):
         raise DataError("every candidate family failed to fit")
     leaderboard = [{
@@ -419,23 +417,30 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _refuse_oversized_kernel(config: FlowConfig, route: str, n_train: int) -> None:
-    """Refuse, before any fit, a run whose LS-SVM would not fit in memory.
-    The final refit on the whole training split bounds every fold and
-    hierarchy-level fit.  Its packed system holds about
-    n_train (n_train + 256) / 2 words, and the test rows are scored in
-    256-row chunks, so the test split does not enter the estimate."""
-    flat, levels = _route_families(config, route)
-    if not {*flat, *(levels if config.hierarchy else ())} & {"lssvm", "ova_svm"}:
-        return
-    estimate = lssvm_peak_bytes(n_train)
+def _refuse_oversized(config: FlowConfig, route: str, n_train: int, n_classes: int) -> None:
+    """Refuse, before any fit, a run whose LS-SVM or binned-ranker tables
+    would not fit in physical memory.  The final refit on the whole training
+    split bounds every fold and hierarchy-level fit.  Its packed system
+    holds about n_train (n_train + 256) / 2 words, and the test rows are
+    scored in 256-row chunks, so the test split does not enter the estimate.
+    A binned ranker holds bin_count + 1 edges and a bin_count x C joint
+    table per feature, and mRMR a bin_count x bin_count table."""
     available = physical_memory_bytes()
-    if estimate > available:
+    flat, levels = _route_families(config, route)
+    kernel = {*flat, *(levels if config.hierarchy else ())} & {"lssvm", "ova_svm"}
+    if kernel and (estimate := lssvm_peak_bytes(n_train)) > available:
         raise DataError(
             f"the LS-SVM families need about {estimate / 2**30:.2f} GiB to fit "
             f"{n_train} training rows, more than the "
             f"{available / 2**30:.1f} GiB of physical memory; drop lssvm/ova_svm "
             "from --families or lower --train-fraction")
+    methods = set(config.ranking_methods)
+    width = max(n_classes + 2, config.bin_count if "mrmr" in methods else 0)
+    if methods - {"fisher"} and (estimate := 8 * config.bin_count * width) > available:
+        raise DataError(
+            f"the binned rankers need about {estimate / 2**30:.2f} GiB for "
+            f"{config.bin_count} bins, more than the {available / 2**30:.1f} GiB "
+            "of physical memory; lower --bin-count or pass --rankers fisher")
 
 
 def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
@@ -444,7 +449,7 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
     trail: list[dict] = []
     split = stratified_split(data, config.train_fraction, config.seed)
     route = decision_route(data)
-    _refuse_oversized_kernel(config, route, split.train.n_samples)
+    _refuse_oversized(config, route, split.train.n_samples, data.n_classes)
     trail.append({
         "stage": "split",
         "inputs": {"train_fraction": config.train_fraction, "seed": config.seed},
@@ -479,9 +484,13 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
     if not flat_families:
         raise DataError(f"none of the families {list(config.candidate_families)} "
                         f"applies to the {route} route")
-    if config.hierarchy is not None and route != "binary" and not level_families:
+    sweeps_levels = config.hierarchy is not None and route != "binary"
+    if sweeps_levels and not level_families:
         raise DataError(f"none of the families {list(config.candidate_families)} "
                         "applies to the binary hierarchy levels")
+    if ungridded := sorted({*flat_families, *(level_families if sweeps_levels else ())}
+                           - config.grids.keys()):
+        raise DataError(f"no grid for the swept families {ungridded}")
 
     flat = _run_task("binary" if route == "binary" else "multiclass_flat",
                      split.train, flat_families, config, trail)

@@ -134,13 +134,13 @@ def averaged_metrics(counts: ConfusionCounts) -> EvalMetrics:
     )
 
 
-def roc_and_auc(scores, true_labels, thresholds=None) -> EvalMetrics:
+def roc_and_auc(scores, true_labels) -> EvalMetrics:
     """ROC points and trapezoidal AUC from positive-class scores.
 
-    The threshold grid is refined with every distinct score value so
-    the integration is exact for the given scores.  Predict positive
-    iff score >= threshold.  Rows with a NaN score are dropped (and
-    flagged) before anything is counted.
+    The threshold grid ``DEFAULT_THRESHOLDS`` is refined with every
+    distinct score value so the integration is exact for the given
+    scores.  Predict positive iff score >= threshold.  Rows with a NaN
+    score are dropped (and flagged) before anything is counted.
     """
     s = np.asarray(scores, dtype=float)
     y = np.asarray(true_labels, dtype=int)
@@ -151,20 +151,15 @@ def roc_and_auc(scores, true_labels, thresholds=None) -> EvalMetrics:
     if not scored.all():
         m.degenerate_flags.append(f"NaN scores dropped: {int((~scored).sum())}")
         s, y = s[scored], y[scored]
-    if thresholds is None:
-        thresholds = DEFAULT_THRESHOLDS
-    grid = np.unique(np.concatenate([np.asarray(thresholds, dtype=float), s]))
     pos = int((y == 1).sum())
     neg = int((y == 0).sum())
     if pos == 0 or neg == 0:
         m.degenerate_flags.append("single-class labels: AUC undefined")
         m.auc = None
         return m
-    # Thresholds in descending order run the curve from (0,0) toward (1,1);
-    # a NaN threshold (np.unique keeps at most one) is listed last.
-    nan = np.isnan(grid)
-    desc = np.concatenate([grid[~nan][::-1], grid[nan]])
-    # Scores >= t, counted for every t at once; nothing is >= a NaN threshold.
+    # Thresholds in descending order run the curve from (0,0) toward (1,1).
+    desc = np.unique(np.concatenate([DEFAULT_THRESHOLDS, s]))[::-1]
+    # Scores >= t, counted for every t at once.
     pos_s = np.sort(s[y == 1])
     neg_s = np.sort(s[y == 0])
     tpr = (pos_s.size - np.searchsorted(pos_s, desc, "left")) / pos

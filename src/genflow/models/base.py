@@ -137,7 +137,7 @@ def row_max(Z: np.ndarray) -> np.ndarray:
     so the values are equal; for C >= 9 the sign of a zero maximum may
     differ, which no softmax shifted by it can see (exp(+-0) = 1).  Its
     callers are the row-major softmax sites: :func:`softmax_rows` and the
-    neural net's multi-class loss, ``nn_loss_grad``; the multinomial fit is
+    neural net's multi-class gradient, ``nn_grad``; the multinomial fit is
     class-major and takes ``ZT.max(axis=0)``.
     """
     m = Z[:, 0].copy()

@@ -10,44 +10,37 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import Dataset
-from .base import (ModelSpec, TrainedModel, logistic_loss, row_max, softmax_rows, squash,
-                   standardize)
+from .base import ModelSpec, TrainedModel, row_max, softmax_rows, squash, standardize
 
-__all__ = ["NeuralNetModel", "nn_loss_grad"]
+__all__ = ["NeuralNetModel", "nn_grad"]
 
 MAX_EPOCHS = 500
 GRAD_TOL = 1e-6
 INIT_HALF_WIDTH = 0.5
 
 
-def nn_loss_grad(W1, b1, W2, b2, X, y, n_classes):
-    """Cross-entropy loss and backprop gradients for the 1-hidden-layer net.
+def nn_grad(W1, b1, W2, b2, X, y, n_classes):
+    """Backprop gradients of the 1-hidden-layer net's cross-entropy loss.
 
     Binary (n_classes == 2): W2 has one output column and the target is
     y in {0,1} through a sigmoid.  Multi-class: softmax over n_classes
     columns with integer targets.
     """
-    n = len(X)
     H = np.tanh(X @ W1 + b1)
     Z = H @ W2 + b2
     if n_classes == 2 and W2.shape[1] == 1:
-        z = Z[:, 0]
-        loss = logistic_loss(z, y)
-        p = squash(z)
-        dZ = (p - y)[:, None]
+        dZ = (squash(Z[:, 0]) - y)[:, None]
     else:
         Zs = Z - row_max(Z)[:, None]
         logZ = np.log(np.exp(Zs).sum(axis=1))
-        loss = float(np.sum(logZ - Zs[np.arange(n), y]))
-        P = np.exp(Zs - logZ[:, None])
-        dZ = P.copy()
-        dZ[np.arange(n), y] -= 1.0
+        dZ = np.exp(Zs - logZ[:, None])
+        dZ[np.arange(len(X)), y] -= 1.0
     gW2 = H.T @ dZ
     gb2 = dZ.sum(axis=0)
     dH = (dZ @ W2.T) * (1.0 - H * H)
     gW1 = X.T @ dH
     gb1 = dH.sum(axis=0)
-    return loss, gW1, gb1, gW2, gb2
+    return gW1, gb1, gW2, gb2
 
 
 class NeuralNetModel(TrainedModel):
@@ -67,20 +60,20 @@ class NeuralNetModel(TrainedModel):
         b1 = rng.uniform(-INIT_HALF_WIDTH, INIT_HALF_WIDTH, size=hidden)
         W2 = rng.uniform(-INIT_HALF_WIDTH, INIT_HALF_WIDTH, size=(hidden, out_dim))
         b2 = rng.uniform(-INIT_HALF_WIDTH, INIT_HALF_WIDTH, size=out_dim)
-        n = len(y)
+        step = lr / len(y)
         converged = False
         for _ in range(MAX_EPOCHS):
-            loss, gW1, gb1, gW2, gb2 = nn_loss_grad(W1, b1, W2, b2, X, y, C)
+            gW1, gb1, gW2, gb2 = nn_grad(W1, b1, W2, b2, X, y, C)
             gnorm = np.sqrt(
                 np.sum(gW1**2) + np.sum(gb1**2) + np.sum(gW2**2) + np.sum(gb2**2)
             )
             if gnorm <= GRAD_TOL:
                 converged = True
                 break
-            W1 = W1 - lr / n * gW1
-            b1 = b1 - lr / n * gb1
-            W2 = W2 - lr / n * gW2
-            b2 = b2 - lr / n * gb2
+            W1 = W1 - step * gW1
+            b1 = b1 - step * gb1
+            W2 = W2 - step * gW2
+            b2 = b2 - step * gb2
         return cls(spec, train.feature_names, train.class_names,
                    W1, b1, W2, b2, mu, sd, converged=converged)
 

@@ -122,7 +122,7 @@ def mutual_information(train: Dataset, bin_count: int = 10) -> RankedFeatures:
     return RankedFeatures("mutual_info", scores, _descending_order(scores))
 
 
-def _chi2_binary(bins: np.ndarray, positive_mask: np.ndarray, bin_count: int) -> float:
+def _chi2_binary(bins: np.ndarray, positive_mask: np.ndarray) -> float:
     """Sum over occupied bin values of the per-value 2x2 statistic."""
     n = bins.size
     p_y1 = positive_mask.mean()
@@ -151,9 +151,7 @@ def chi_squared(train: Dataset, bin_count: int = 10) -> RankedFeatures:
     classes = range(train.n_classes) if train.n_classes > 2 else (1,)
     for l in range(train.n_features):
         bins = discretize(train.features[:, l], bin_count)
-        scores[l] = sum(
-            _chi2_binary(bins, train.labels == c, bin_count) for c in classes
-        )
+        scores[l] = sum(_chi2_binary(bins, train.labels == c) for c in classes)
     return RankedFeatures("chi_squared", scores, _descending_order(scores))
 
 
@@ -170,7 +168,6 @@ def mrmr_rank(train: Dataset, bin_count: int = 10) -> RankedFeatures:
         [discretize(train.features[:, l], bin_count) for l in range(d)]
     )
     relevance = mutual_information(train, bin_count).scores
-    C = train.n_classes
     pair_mi = np.zeros((d, d))
     for a in range(d):
         for b in range(a, d):

@@ -1,13 +1,15 @@
 """Reference linear-model code: the softmax NLL/gradient, the multinomial
-and binary logistic fit loops and the softmax scorers that
-``genflow.models.linear`` and ``genflow.models.neural`` replaced, kept
-unchanged as a test oracle.
+and binary logistic fit loops, the neural net's loss/gradient and fit loop,
+and the softmax scorers that ``genflow.models.linear`` and
+``genflow.models.neural`` replaced, kept unchanged as a test oracle.
 
 Here every backtracking trial computes the full gradient, every softmax
 works on row-major N x C scores and takes its row maxima with
-``Z.max(axis=1)``, and every Newton iteration recomputes its probabilities
-and bias-augmented design.  The engine must reproduce these coefficients,
-losses, gradients and scores bit for bit.
+``Z.max(axis=1)``, every Newton iteration recomputes its probabilities
+and bias-augmented design, and every neural-net epoch computes its
+cross-entropy loss next to the gradients.  The engine must reproduce these
+coefficients, weights, gradients and scores bit for bit; the losses are
+what the finite-difference checks differentiate.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 MAX_NEWTON_ITER = 100
 MAX_GD_ITER = 1000
+MAX_NN_EPOCHS = 500
 GRAD_TOL = 1e-6
 
 
@@ -140,8 +143,30 @@ def multinomial_scores(coef: np.ndarray, X: np.ndarray) -> np.ndarray:
     return E / E.sum(axis=1, keepdims=True)
 
 
+def _nn_backprop(H, dZ, W2, X):
+    gW2 = H.T @ dZ
+    gb2 = dZ.sum(axis=0)
+    dH = (dZ @ W2.T) * (1.0 - H * H)
+    gW1 = X.T @ dH
+    gb1 = dH.sum(axis=0)
+    return gW1, gb1, gW2, gb2
+
+
+def nn_loss_grad_binary(W1, b1, W2, b2, X, y):
+    """The neural net's summed logistic loss and gradients for one sigmoid
+    output column and 0/1 targets."""
+    H = np.tanh(X @ W1 + b1)
+    Z = H @ W2 + b2
+    z = Z[:, 0]
+    loss = float(np.sum(np.logaddexp(0.0, z) - y * z))
+    p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    dZ = (p - y)[:, None]
+    return (loss, *_nn_backprop(H, dZ, W2, X))
+
+
 def nn_loss_grad_multiclass(W1, b1, W2, b2, X, y):
-    """``nn_loss_grad``'s softmax branch (more than one output column)."""
+    """The neural net's cross-entropy loss and gradients for a softmax
+    output layer (more than one output column) and integer targets."""
     n = len(X)
     H = np.tanh(X @ W1 + b1)
     Z = H @ W2 + b2
@@ -151,12 +176,43 @@ def nn_loss_grad_multiclass(W1, b1, W2, b2, X, y):
     P = np.exp(Zs - logZ[:, None])
     dZ = P.copy()
     dZ[np.arange(n), y] -= 1.0
-    gW2 = H.T @ dZ
-    gb2 = dZ.sum(axis=0)
-    dH = (dZ @ W2.T) * (1.0 - H * H)
-    gW1 = X.T @ dH
-    gb1 = dH.sum(axis=0)
-    return loss, gW1, gb1, gW2, gb2
+    return (loss, *_nn_backprop(H, dZ, W2, X))
+
+
+def nn_loss_grad(W1, b1, W2, b2, X, y):
+    """The sigmoid branch for one output column, else the softmax branch."""
+    branch = nn_loss_grad_binary if W2.shape[1] == 1 else nn_loss_grad_multiclass
+    return branch(W1, b1, W2, b2, X, y)
+
+
+def fit_neural(X: np.ndarray, y: np.ndarray, n_classes: int, lr: float,
+               hidden_nodes: int, seed: int):
+    """``NeuralNetModel.fit``'s loop: (W1, b1, W2, b2, converged)."""
+    mu = X.mean(axis=0)
+    sd = X.std(axis=0)
+    sd[sd == 0] = 1.0
+    Xs = (X - mu) / sd
+    rng = np.random.default_rng(seed)
+    out_dim = 1 if n_classes == 2 else n_classes
+    W1 = rng.uniform(-0.5, 0.5, size=(X.shape[1], hidden_nodes))
+    b1 = rng.uniform(-0.5, 0.5, size=hidden_nodes)
+    W2 = rng.uniform(-0.5, 0.5, size=(hidden_nodes, out_dim))
+    b2 = rng.uniform(-0.5, 0.5, size=out_dim)
+    n = len(y)
+    converged = False
+    for _ in range(MAX_NN_EPOCHS):
+        loss, gW1, gb1, gW2, gb2 = nn_loss_grad(W1, b1, W2, b2, Xs, y)
+        gnorm = np.sqrt(
+            np.sum(gW1**2) + np.sum(gb1**2) + np.sum(gW2**2) + np.sum(gb2**2)
+        )
+        if gnorm <= GRAD_TOL:
+            converged = True
+            break
+        W1 = W1 - lr / n * gW1
+        b1 = b1 - lr / n * gb1
+        W2 = W2 - lr / n * gW2
+        b2 = b2 - lr / n * gb2
+    return W1, b1, W2, b2, converged
 
 
 def neural_scores(W1, b1, W2, b2, mu, sd, X: np.ndarray) -> np.ndarray:

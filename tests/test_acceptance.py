@@ -28,10 +28,11 @@ from genflow import (
 from genflow.metrics import ConfusionCounts, averaged_metrics
 from genflow.models import FAMILIES
 from genflow.models.lssvm import LssvmModel
-from genflow.models.neural import nn_loss_grad
+from genflow.models.neural import nn_grad
 from genflow.models.base import ModelSpec
 from genflow.report import report_body
 from tests.conftest import make_binary, make_imbalanced6, group_hierarchy
+from tests import linear_reference as reference
 from tests.linear_engine import logistic_nll_grad, softmax_nll_grad
 from tests.test_flow import FAST_GRIDS, fast_config, metrics_with
 from tests.test_metrics import recount_oracle
@@ -239,10 +240,10 @@ def test_criterion_09_numerical_checks():
         b1 = rng.normal(scale=0.5, size=h_nodes)
         W2 = rng.normal(scale=0.5, size=(h_nodes, out_cols))
         b2 = rng.normal(scale=0.5, size=out_cols)
-        loss, gW1, gb1, gW2, gb2 = nn_loss_grad(W1, b1, W2, b2, X, y, C)
+        gW1, gb1, gW2, gb2 = nn_grad(W1, b1, W2, b2, X, y, C)
         for param, grad in ((W1, gW1), (b1, gb1), (W2, gW2), (b2, gb2)):
             num = central_diff(
-                lambda: nn_loss_grad(W1, b1, W2, b2, X, y, C)[0], param)
+                lambda: reference.nn_loss_grad(W1, b1, W2, b2, X, y)[0], param)
             assert rel_err(grad, num) < 1e-4
 
     ds = make_binary(n=60, sep=1.5, seed=0)

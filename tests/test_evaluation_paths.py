@@ -295,6 +295,58 @@ class TestBinCount:
         assert "bin_count" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_bin_count_exit_2_before_any_fit(self, tmp_path, monkeypatch, capsys):
+        forbid_fits(monkeypatch)
+        data = write_toy_csv(tmp_path / "toy.csv")
+        argv = ["--data", str(data), "--label-col", "label", "--grid-preset", "thin",
+                "--families", "logreg", "--bin-count", "1000000000000",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "--bin-count" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("methods, n_classes, words", [
+        (("mutual_info",), 2, 1000 * 4),
+        (("fisher", "chi_squared"), 6, 1000 * 8),
+        (("mrmr",), 2, 1000 * 1000),
+        (("mrmr",), 1200, 1000 * 1202),
+    ])
+    def test_bound_is_the_largest_table(self, monkeypatch, methods, n_classes, words):
+        config = FlowConfig(ranking_methods=methods, bin_count=1000,
+                            candidate_families=("logreg",))
+        monkeypatch.setattr(flow, "physical_memory_bytes", lambda: 8 * words)
+        flow._refuse_oversized(config, "binary", 100, n_classes)
+        monkeypatch.setattr(flow, "physical_memory_bytes", lambda: 8 * words - 1)
+        with pytest.raises(DataError, match="--bin-count"):
+            flow._refuse_oversized(config, "binary", 100, n_classes)
+
+    def test_fisher_alone_needs_no_table(self, monkeypatch):
+        monkeypatch.setattr(flow, "physical_memory_bytes", lambda: 0)
+        config = FlowConfig(ranking_methods=("fisher",), bin_count=10**12,
+                            candidate_families=("logreg",))
+        flow._refuse_oversized(config, "binary", 100, 2)
+
+
+class TestUngriddedFamily:
+    """A swept family with no grid in the config is a DataError before any
+    fit; no registry grid is swept in its place."""
+
+    @pytest.mark.parametrize("data, families, hierarchy, missing", [
+        (make_binary(n=120, seed=1), ("logreg", "decision_forest"), None,
+         "decision_forest"),
+        # lssvm is swept only on the hierarchy's binary levels
+        (make_multiclass(n=120, seed=1), ("multinomial_logreg", "lssvm"),
+         HierarchySpec((HierarchyLevel("top", (0,), (1, 2)),)), "lssvm"),
+    ])
+    def test_run_flow_refuses(self, monkeypatch, data, families, hierarchy, missing):
+        forbid_fits(monkeypatch)
+        config = FlowConfig(grids={"logreg": {"l2": [1e-6]},
+                                   "multinomial_logreg": {"l2": [1e-6]}},
+                            candidate_families=families, hierarchy=hierarchy,
+                            ranking_methods=("fisher",))
+        with pytest.raises(DataError, match=rf"no grid for the swept families \['{missing}'\]"):
+            run_flow(data, config)
+
 
 class TestRefusedBeforeSplit:
     """Bundle paths that cannot be written are data errors raised before the

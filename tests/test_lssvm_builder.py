@@ -235,10 +235,10 @@ class TestOversizedKernelRefused:
         assert round(estimate / 2**30, 2) == gib
         config = FlowConfig(candidate_families=("lssvm",))
         monkeypatch.setattr(flow, "physical_memory_bytes", lambda: estimate)
-        flow._refuse_oversized_kernel(config, "binary", n_train)
+        flow._refuse_oversized(config, "binary", n_train, 2)
         monkeypatch.setattr(flow, "physical_memory_bytes", lambda: estimate - 1)
         with pytest.raises(DataError, match=f"{gib:.2f} GiB to fit {n_train} training rows"):
-            flow._refuse_oversized_kernel(config, "binary", n_train)
+            flow._refuse_oversized(config, "binary", n_train, 2)
 
     def test_paper_split_refused_before_any_fit(self, monkeypatch):
         # MAGIC Telescope's 12332 / 6688 classes at --train-fraction 0.7

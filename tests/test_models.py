@@ -10,7 +10,8 @@ from genflow import (
     fit_model,
     model_from_document,
 )
-from genflow.models.neural import nn_loss_grad
+from genflow.models.neural import nn_grad
+from tests import linear_reference as reference
 from tests.conftest import make_binary, make_multiclass
 from tests.linear_engine import logistic_nll_grad, softmax_nll_grad
 
@@ -227,11 +228,11 @@ class TestNeuralNet:
 
     @staticmethod
     def _check(W1, b1, W2, b2, X, y, n_classes):
-        _, gW1, gb1, gW2, gb2 = nn_loss_grad(W1, b1, W2, b2, X, y, n_classes)
+        gW1, gb1, gW2, gb2 = nn_grad(W1, b1, W2, b2, X, y, n_classes)
         h = 1e-6
 
         def loss(*params):
-            return nn_loss_grad(*params, X, y, n_classes)[0]
+            return reference.nn_loss_grad(*params, X, y)[0]
 
         for arr, grad in ((W1, gW1), (b1, gb1), (W2, gW2), (b2, gb2)):
             num = np.empty_like(grad)

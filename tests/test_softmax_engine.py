@@ -1,7 +1,7 @@
 """The linear engines against the reference in ``tests/linear_reference.py``:
-equal coefficients (float hex) and convergence flags from the multinomial
-and binary logistic fits, and bit-equal losses, gradients and scores from
-every softmax site."""
+equal coefficients and weights (float hex) and convergence flags from the
+multinomial and binary logistic fits and the neural net's fits, and
+bit-equal losses, gradients and scores from every softmax site."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from genflow import Dataset, make_interleaved_folds, stratified_split
 from genflow.models import ModelSpec, fit_model
 from genflow.models.base import row_max
 from genflow.models.linear import MultinomialLogregModel, _class_sums
-from genflow.models.neural import NeuralNetModel, nn_loss_grad
+from genflow.models.neural import NeuralNetModel, nn_grad
 from tests import linear_reference as reference
 from tests.linear_engine import softmax_nll_grad
 from tests.conftest import make_imbalanced6, make_multiclass
@@ -202,10 +202,72 @@ def assert_bit_equal(a, b):
 def test_nn_multiclass_loss_grad_matches_reference(layer):
     args = [layer[k] for k in ("W1", "b1", "W2", "b2", "X", "y")]
     with np.errstate(all="ignore"):
-        got = nn_loss_grad(*args, layer["C"])
-        ref = reference.nn_loss_grad_multiclass(*args)
-    for a, b in zip(got, ref):
+        got = nn_grad(*args, layer["C"])
+        ref = reference.nn_loss_grad_multiclass(*args)[1:]
+    for a, b in zip(got, ref, strict=True):
         assert_bit_equal(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(layer=softmax_layers())
+def test_nn_binary_grad_matches_reference(layer):
+    """The sigmoid branch: the layer's first output column, 0/1 targets."""
+    args = [layer["W1"], layer["b1"], layer["W2"][:, :1], layer["b2"][:1], layer["X"],
+            layer["y"] % 2]
+    with np.errstate(all="ignore"):
+        got = nn_grad(*args, 2)
+        ref = reference.nn_loss_grad_binary(*args)[1:]
+    for a, b in zip(got, ref, strict=True):
+        assert_bit_equal(a, b)
+
+
+def assert_neural_fit_matches_reference(data: Dataset, learning_rate=0.04, hidden_nodes=25,
+                                        seed=0):
+    spec = ModelSpec("neural_net", {"learning_rate": learning_rate,
+                                    "hidden_nodes": hidden_nodes}, seed=seed)
+    model = fit_model(spec, data)
+    *weights, converged = reference.fit_neural(data.features, data.labels, data.n_classes,
+                                               learning_rate, hidden_nodes, seed)
+    for name, ref in zip(NeuralNetModel.PAYLOAD, weights):
+        assert hexes(getattr(model, name)) == hexes(ref), name
+    assert model.converged == converged
+
+
+def wbc_fold() -> Dataset:
+    """A WBC-shaped fold: 699 rows of 9 integer features in 1..10 with many
+    ties, about 35% positives and overlapping classes; the fit rows of the
+    first of five folds of its 30% stratified training split."""
+    rng = np.random.default_rng(0)
+    y = (rng.random(699) < 241 / 699).astype(int)
+    loc = np.where(y, 6.5, 2.0)[:, None]
+    scale = np.where(y, 2.5, 1.5)[:, None]
+    X = np.clip(np.rint(rng.normal(loc, scale, size=(699, 9))), 1, 10)
+    data = Dataset(X, y, tuple(f"f{i}" for i in range(9)), ("2", "4"), "wbc")
+    train = stratified_split(data, 0.30, 0).train
+    fit_rows, _ = next(make_interleaved_folds(train, 5, 0).folds())
+    fold = train.restrict_rows(fit_rows)
+    assert fold.features.shape == (167, 9)
+    return fold
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(wbc_fold, id="wbc-fold-167x9"),
+    pytest.param(six_class_fold, id="six-class-fold-574x5-C6"),
+    pytest.param(lambda: make_multiclass(n=600, d=5, n_classes=9, sep=1.5, seed=9),
+                 id="n600-C9"),
+])
+def test_fold_sized_neural_fit_matches_reference(data):
+    assert_neural_fit_matches_reference(data())
+
+
+@settings(max_examples=30, deadline=None)
+@given(task=logistic_tasks(), learning_rate=st.sampled_from([0.04, 0.5, 5.0]),
+       hidden_nodes=st.integers(1, 8), seed=st.integers(0, 2**16))
+def test_binary_neural_fit_matches_reference(task, learning_rate, hidden_nodes, seed):
+    X, y, _ = task
+    data = Dataset(X, y, tuple(f"f{j}" for j in range(X.shape[1])), ("a", "b"), "toy")
+    with np.errstate(all="ignore"):
+        assert_neural_fit_matches_reference(data, learning_rate, hidden_nodes, seed)
 
 
 @settings(max_examples=150, deadline=None)
