@@ -30,7 +30,7 @@ from genflow import Dataset, make_interleaved_folds, stratified_split
 from genflow.models import BINARY_FAMILIES, FAMILIES, ModelSpec, fit_model
 from genflow.selection import _resolve_spec
 
-DEFAULT_FAMILIES = "boosted_tree,decision_forest,logreg,multinomial_logreg,neural_net"
+DEFAULT_FAMILIES = "boosted_tree,decision_forest,logreg,lssvm,multinomial_logreg,neural_net"
 WBC_ROWS = (168, 4000)
 SIX_CLASS_PROPS = np.array([0.049, 0.0018, 0.026, 0.69, 0.13, 0.10])
 TELESCOPE_ROWS = 4565

@@ -105,6 +105,8 @@ class FlowConfig:
                 ("Decision 3 metrics", (self.decision3_metric,), ("accuracy", "recall"))):
             if unknown := [n for n in names if n not in known]:
                 raise DataError(f"unknown {kind} {unknown}; known: {sorted(known)}")
+            if repeated := sorted({n for n in names if names.count(n) > 1}):
+                raise DataError(f"duplicate {kind} {repeated}")
         if not self.ranking_methods:  # the dimensionality sweep needs a ranking
             raise DataError("no ranking methods")
         if self.bin_count < 2:  # the binned rankers need two bins
@@ -423,8 +425,9 @@ def _refuse_oversized(config: FlowConfig, route: str, n_train: int, n_classes: i
     split bounds every fold and hierarchy-level fit.  Its packed system
     holds about n_train (n_train + 256) / 2 words, and the test rows are
     scored in 256-row chunks, so the test split does not enter the estimate.
-    A binned ranker holds bin_count + 1 edges and a bin_count x C joint
-    table per feature, and mRMR a bin_count x bin_count table."""
+    A binned ranker peaks in ``_mi_from_joint`` on a bin_count x C table
+    (bin_count x bin_count for mRMR): 25 bytes a cell for the counts, ``p``,
+    ``px @ py`` and ``p > 0``, and about 32 a bin for marginals and edges."""
     available = physical_memory_bytes()
     flat, levels = _route_families(config, route)
     kernel = {*flat, *(levels if config.hierarchy else ())} & {"lssvm", "ova_svm"}
@@ -435,8 +438,8 @@ def _refuse_oversized(config: FlowConfig, route: str, n_train: int, n_classes: i
             f"{available / 2**30:.1f} GiB of physical memory; drop lssvm/ova_svm "
             "from --families or lower --train-fraction")
     methods = set(config.ranking_methods)
-    width = max(n_classes + 2, config.bin_count if "mrmr" in methods else 0)
-    if methods - {"fisher"} and (estimate := 8 * config.bin_count * width) > available:
+    width = max(n_classes, config.bin_count if "mrmr" in methods else 0)
+    if methods - {"fisher"} and (estimate := config.bin_count * (25 * width + 32)) > available:
         raise DataError(
             f"the binned rankers need about {estimate / 2**30:.2f} GiB for "
             f"{config.bin_count} bins, more than the {available / 2**30:.1f} GiB "

@@ -1,16 +1,19 @@
 """Least-squares SVM with RBF kernel, trained by one packed Cholesky solve.
 
-The squared-slack, equality-constrained margin objective has a dual that
-is a single (n+1) x (n+1) linear system; its solution gives one dual
-coefficient per training row plus a bias.  The system's n x n block
-H = Omega + lam I is symmetric positive definite, so the fit factors it
-and gets the bias from two triangular solves (Suykens et al., *Least
-Squares Support Vector Machines*, 2002).  The decision value is
-sum_j alpha_j y_j K(x, x_j) + bias, squashed to [0,1] by a logistic map so
-thresholding behaves like the probabilistic families.  The squash is
-strictly monotone, so ROC/AUC are unaffected by it.
+The dual of the squared-slack margin objective (Suykens et al., *Least
+Squares Support Vector Machines*, 2002) is, with coef = y * alpha, ridge
+regression on the +-1 labels with a free bias:
+[[0, 1'], [1, K + lam I]] [bias; coef] = [0; y].  K + lam I is symmetric
+positive definite and does not depend on the labels: the fit factors it
+once and solves for 1 and y.  It keeps the bits of the signed form, which
+factored D (K + lam I) D, D = diag(y): every operand there flips sign in
+one pattern, so its factor is D L D and its solutions D u and D v, and its
+bias dot sums the same terms.  Only the signs of exact zeros differ, which
+no prediction sees.  The decision value sum_j coef_j K(x, x_j) + bias is
+squashed to [0,1] by a strictly monotone logistic map (ROC/AUC unchanged)
+so thresholding behaves like the probabilistic families.
 
-Memory: only the lower triangle of H is stored, as block rows of
+Memory: only the lower triangle of K + lam I is stored, as block rows of
 ``BLOCK`` rows in one flat buffer (block row k holds rows i_k:j_k,
 columns 0:j_k), about n(n + BLOCK)/2 words; the Cholesky factor overwrites
 it block row by block row.  The factor also keeps the inverses of its
@@ -70,14 +73,12 @@ def _packed_words(n: int) -> int:
     return sum((min(i + BLOCK, n) - i) * min(i + BLOCK, n) for i in range(0, n, BLOCK))
 
 
-def _packed_system(Xs: np.ndarray, y: np.ndarray, gamma: float, lam: float
-                   ) -> list[np.ndarray]:
-    """The lower triangle of H = Omega + lam I, Omega = (y y') * K, as
-    C-contiguous block rows: views into one flat buffer, block row k being
-    rows i:j and columns 0:j of H (its diagonal block is whole).  Each is
-    the kernel of its own row block, scaled by the +-1 signs (exact), with
-    signed zeros cleared and lam added on the diagonal."""
-    n = len(y)
+def _packed_system(Xs: np.ndarray, gamma: float, lam: float) -> list[np.ndarray]:
+    """The lower triangle of K + lam I as C-contiguous block rows: views
+    into one flat buffer, block row k being rows i:j and columns 0:j (its
+    diagonal block is whole).  Each is the kernel of its own row block with
+    lam added on the diagonal."""
+    n = len(Xs)
     flat = np.empty(_packed_words(n))
     rows = []
     for i in range(0, n, BLOCK):
@@ -85,9 +86,6 @@ def _packed_system(Xs: np.ndarray, y: np.ndarray, gamma: float, lam: float
         start = sum(R.size for R in rows)
         R = flat[start:start + (j - i) * j].reshape(j - i, j)
         rbf_kernel(Xs[i:j], Xs[:j], gamma, out=R)
-        R *= y[i:j, None]
-        R *= y[None, :j]
-        R += 0.0  # -0.0 -> +0.0 where K underflowed and y_i y_j = -1
         R.reshape(-1)[i::j + 1] += lam  # entries (r, i + r)
         rows.append(R)
     return rows
@@ -163,14 +161,15 @@ def _solve_in_place(rows: list[np.ndarray], inverses: list[np.ndarray],
 
 
 def _dual_coefficients(rows: list[np.ndarray], y: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(alpha, bias)`` of the bordered dual system [[0, y'], [y, H]] with
-    right-hand side [0, 1..1], for H packed in ``rows`` (overwritten by its
-    factor).  With eta = H^-1 y and nu = H^-1 1, bias = y'nu / y'eta and
-    alpha = nu - bias * eta."""
+    """``(coef, bias)`` solving [[0, 1'], [1, H]] [bias; coef] = [0; y] for
+    H = K + lam I packed in ``rows`` (overwritten by its factor): with
+    u = H^-1 1 and v = H^-1 y, bias = 1'v / 1'u and coef = v - bias * u."""
     inverses = _factor_in_place(rows)
-    eta, nu = _solve_in_place(rows, inverses, np.column_stack([y, np.ones_like(y)])).T
-    bias = float(y @ nu / (y @ eta))
-    return nu - bias * eta, bias
+    ones = np.ones_like(y)
+    u, v = _solve_in_place(rows, inverses, np.column_stack([ones, y])).T
+    # BLAS dots, as the signed form's y'nu and y'eta: a pairwise sum() differs in bits.
+    bias = float(ones @ v / (ones @ u))
+    return v - bias * u, bias
 
 
 def _kernel_times(Q: np.ndarray, S: np.ndarray, gamma: float, w: np.ndarray) -> np.ndarray:
@@ -195,7 +194,7 @@ def peak_bytes(n_fit: int) -> int:
 
 
 class LssvmModel(TrainedModel):
-    PAYLOAD = ("support", "signs", "alpha", "bias", "mu", "sd")  # support is standardized
+    PAYLOAD = ("support", "coef", "bias", "mu", "sd")  # support is standardized
 
     @classmethod
     def fit(cls, spec: ModelSpec, train: Dataset) -> "LssvmModel":
@@ -203,27 +202,24 @@ class LssvmModel(TrainedModel):
         gamma = float(spec.param("kernel_gamma", 1.0 / train.n_features))
         y = encode_sign_labels(train).astype(float)
         Xs, mu, sd = standardize(train.features)
-        alpha, bias = _dual_coefficients(_packed_system(Xs, y, gamma, lam), y)
-        return cls(spec, train.feature_names, train.class_names,
-                   Xs, y, alpha, bias, mu, sd)
+        coef, bias = _dual_coefficients(_packed_system(Xs, gamma, lam), y)
+        return cls(spec, train.feature_names, train.class_names, Xs, coef, bias, mu, sd)
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         Xs = (X - self.mu) / self.sd
         gamma = float(self.spec.param("kernel_gamma", 1.0 / X.shape[1]))
-        return _kernel_times(Xs, self.support, gamma, self.alpha * self.signs) + self.bias
+        return _kernel_times(Xs, self.support, gamma, self.coef) + self.bias
 
     def _positive_scores(self, X: np.ndarray) -> np.ndarray:
         return squash(self.decision_values(X))
 
-    def system_residual(self) -> float:
-        """Relative residual of the bordered dual system [[0, y'], [y, H]]
-        [bias; alpha] = [0; 1..1] at the fitted solution, with H's rows
-        streamed by ``BLOCK``-row chunks."""
+    def system_residual(self, train: Dataset) -> float:
+        """Relative residual of [[0, 1'], [1, K + lam I]] [bias; coef] = [0; y]
+        at the fitted solution, y being the +-1 labels of the fit rows
+        ``train``, with K's rows streamed by ``BLOCK``-row chunks."""
         lam = float(self.spec.param("lambda", 1e-6))
         gamma = float(self.spec.param("kernel_gamma", 1.0 / self.support.shape[1]))
-        y, alpha = self.signs, self.alpha
-        r = np.empty(len(y) + 1)
-        r[0] = y @ alpha
-        r[1:] = (y * self.bias + y * _kernel_times(self.support, self.support, gamma, y * alpha)
-                 + lam * alpha - 1.0)
-        return float(np.linalg.norm(r) / np.sqrt(len(y)))
+        coef = self.coef
+        fitted = self.bias + _kernel_times(self.support, self.support, gamma, coef) + lam * coef
+        r = np.append(np.ones_like(coef) @ coef, fitted - encode_sign_labels(train))
+        return float(np.linalg.norm(r) / np.sqrt(len(coef)))

@@ -9,11 +9,21 @@ build computes each block row's kernel by its own GEMM, so its lower
 triangle matches ``_dual_system`` within a rounding bound, not bit for
 bit.  ``solve_dual`` is the dense LU solve of the bordered system that the
 Cholesky fit replaced.
+
+``signed_packed_system`` and ``signed_dual_coefficients`` are the packed
+signed fit that the regression form replaced: they factor
+H = Omega + lam I, Omega = (y y') * K, through genflow's own
+``_factor_in_place`` and ``_solve_in_place`` and give the dual's
+(alpha, bias).  The regression form's coef must equal alpha * y, and its
+bias and decision values theirs, bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from genflow.models.lssvm import (BLOCK, _factor_in_place, _packed_words,
+                                  _solve_in_place, rbf_kernel as packed_kernel)
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -45,3 +55,36 @@ def _dual_system(Xs: np.ndarray, y: np.ndarray, gamma: float, lam: float
 def solve_dual(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """[bias, alpha_1..alpha_n]: ``np.linalg.solve`` of the bordered system."""
     return np.linalg.solve(A, rhs)
+
+
+def signed_packed_system(Xs: np.ndarray, y: np.ndarray, gamma: float, lam: float
+                         ) -> list[np.ndarray]:
+    """The lower triangle of H = Omega + lam I in genflow's packed block
+    rows, each the kernel of its row block scaled by the +-1 signs (exact),
+    with signed zeros cleared and lam added on the diagonal."""
+    n = len(y)
+    flat = np.empty(_packed_words(n))
+    rows = []
+    for i in range(0, n, BLOCK):
+        j = min(i + BLOCK, n)
+        start = sum(R.size for R in rows)
+        R = flat[start:start + (j - i) * j].reshape(j - i, j)
+        packed_kernel(Xs[i:j], Xs[:j], gamma, out=R)
+        R *= y[i:j, None]
+        R *= y[None, :j]
+        R += 0.0  # -0.0 -> +0.0 where K underflowed and y_i y_j = -1
+        R.reshape(-1)[i::j + 1] += lam  # entries (r, i + r)
+        rows.append(R)
+    return rows
+
+
+def signed_dual_coefficients(rows: list[np.ndarray], y: np.ndarray
+                             ) -> tuple[np.ndarray, float]:
+    """``(alpha, bias)`` of the bordered dual system [[0, y'], [y, H]] with
+    right-hand side [0, 1..1], for H packed in ``rows`` (overwritten by its
+    factor).  With eta = H^-1 y and nu = H^-1 1, bias = y'nu / y'eta and
+    alpha = nu - bias * eta."""
+    inverses = _factor_in_place(rows)
+    eta, nu = _solve_in_place(rows, inverses, np.column_stack([y, np.ones_like(y)])).T
+    bias = float(y @ nu / (y @ eta))
+    return nu - bias * eta, bias

@@ -249,7 +249,7 @@ def test_criterion_09_numerical_checks():
     ds = make_binary(n=60, sep=1.5, seed=0)
     model = LssvmModel.fit(
         ModelSpec("lssvm", {"lambda": 1e-4, "kernel_gamma": 0.5}), ds)
-    assert model.system_residual() <= 1e-8
+    assert model.system_residual(ds) <= 1e-8
 
 
 def test_criterion_10_structural_properties():

@@ -3,6 +3,7 @@ dimensionality sweep's own fits, rankings are computed once per task, and
 hierarchy levels are binarized on both splits once, before any fit."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -202,6 +203,25 @@ class TestNames:
         with pytest.raises(DataError, match="boosted_tre"):
             FlowConfig(candidate_families=("logreg", "boosted_tre"))
 
+    @pytest.mark.parametrize("field, names", [
+        ("candidate_families", ("logreg", "lssvm", "logreg")),
+        ("ranking_methods", ("fisher", "chi_squared", "fisher")),
+    ])
+    def test_duplicate_names_rejected_by_config(self, field, names):
+        # a repeated family would be swept and listed twice, a repeated
+        # ranker listed twice in the config but curved once
+        with pytest.raises(DataError, match=rf"duplicate .*\['{names[0]}'\]"):
+            FlowConfig(**{field: names})
+
+    def test_duplicate_family_exit_2_before_any_fit(self, tmp_path, monkeypatch, capsys):
+        forbid_fits(monkeypatch)
+        data = write_toy_csv(tmp_path / "toy.csv")
+        argv = ["--data", str(data), "--label-col", "label", "--grid-preset", "thin",
+                "--families", "logreg,logreg", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "duplicate model families ['logreg']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("metric", ["precision", "acc"])
     def test_unknown_decision3_metric_rejected_by_config(self, metric):
         with pytest.raises(DataError, match=metric):
@@ -305,20 +325,36 @@ class TestBinCount:
         assert "--bin-count" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("methods, n_classes, words", [
-        (("mutual_info",), 2, 1000 * 4),
-        (("fisher", "chi_squared"), 6, 1000 * 8),
-        (("mrmr",), 2, 1000 * 1000),
-        (("mrmr",), 1200, 1000 * 1202),
+    @pytest.mark.parametrize("methods, n_classes, nbytes", [
+        (("mutual_info",), 2, 1000 * (25 * 2 + 32)),
+        (("fisher", "chi_squared"), 6, 1000 * (25 * 6 + 32)),
+        (("mrmr",), 2, 1000 * (25 * 1000 + 32)),
+        (("mrmr",), 1200, 1000 * (25 * 1200 + 32)),
     ])
-    def test_bound_is_the_largest_table(self, monkeypatch, methods, n_classes, words):
+    def test_bound_is_the_largest_table(self, monkeypatch, methods, n_classes, nbytes):
         config = FlowConfig(ranking_methods=methods, bin_count=1000,
                             candidate_families=("logreg",))
-        monkeypatch.setattr(flow, "physical_memory_bytes", lambda: 8 * words)
+        monkeypatch.setattr(flow, "physical_memory_bytes", lambda: nbytes)
         flow._refuse_oversized(config, "binary", 100, n_classes)
-        monkeypatch.setattr(flow, "physical_memory_bytes", lambda: 8 * words - 1)
+        monkeypatch.setattr(flow, "physical_memory_bytes", lambda: nbytes - 1)
         with pytest.raises(DataError, match="--bin-count"):
             flow._refuse_oversized(config, "binary", 100, n_classes)
+
+    @pytest.mark.parametrize("method, bins", [
+        ("mutual_info", 10**6), ("chi_squared", 10**6), ("mrmr", 1000)])
+    def test_refused_below_traced_peak(self, monkeypatch, method, bins):
+        data = make_binary(n=100, d=3, seed=0)
+        tracemalloc.start()
+        try:
+            flow._RANKERS[method](data, bins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        config = FlowConfig(ranking_methods=(method,), bin_count=bins,
+                            candidate_families=("logreg",))
+        monkeypatch.setattr(flow, "physical_memory_bytes", lambda: peak - 1)
+        with pytest.raises(DataError, match="--bin-count"):  # the estimate is >= the peak
+            flow._refuse_oversized(config, "binary", 100, 2)
 
     def test_fisher_alone_needs_no_table(self, monkeypatch):
         monkeypatch.setattr(flow, "physical_memory_bytes", lambda: 0)

@@ -1,7 +1,7 @@
-"""The LS-SVM dual system is built packed, as block rows of its lower
+"""The LS-SVM system K + lam I is built packed, as block rows of its lower
 triangle in one buffer: each block row has the bits of ``rbf_kernel`` on
 its own row block, and the whole triangle stays within a stated rounding
-bound of the dense reference builder in ``tests/lssvm_reference.py``.  A
+bound of the dense reference kernel in ``tests/lssvm_reference.py``.  A
 fit holds no square system and scoring no whole kernel, and a run whose
 LS-SVM would not fit in memory is refused before any fit."""
 
@@ -56,9 +56,9 @@ def lower_triangle(rows):
     return np.tril(H)
 
 
-def signed_block_row(X, y, gamma, lam, i, j):
-    """Rows i:j, columns 0:j of Omega + lam I from ``rbf_kernel`` on the row block."""
-    R = np.outer(y[i:j], y[:j]) * rbf_kernel(X[i:j], X[:j], gamma) + 0.0
+def block_row(X, gamma, lam, i, j):
+    """Rows i:j, columns 0:j of K + lam I from ``rbf_kernel`` on the row block."""
+    R = rbf_kernel(X[i:j], X[:j], gamma)
     R[:, i:] += lam * np.eye(j - i)
     return R
 
@@ -68,13 +68,13 @@ class TestInPlaceBuild:
     @given(inputs=dual_inputs(), gamma=st.sampled_from([1e-3, 0.1, 1.0, 10.0]),
            lam=st.sampled_from([1e-6, 1e-2]))
     def test_matches_reference_bits(self, inputs, gamma, lam):
-        X, y, Q = inputs
-        rows = _packed_system(X, y, gamma, lam)
-        assert [R.shape for R in rows] == [(min(i + BLOCK, len(y)) - i, min(i + BLOCK, len(y)))
-                                           for i in range(0, len(y), BLOCK)]
+        X, _, Q = inputs
+        rows = _packed_system(X, gamma, lam)
+        assert [R.shape for R in rows] == [(min(i + BLOCK, len(X)) - i, min(i + BLOCK, len(X)))
+                                           for i in range(0, len(X), BLOCK)]
         for R in rows:
             b, j = R.shape
-            assert same_bits(R, signed_block_row(X, y, gamma, lam, j - b, j))
+            assert same_bits(R, block_row(X, gamma, lam, j - b, j))
         assert same_bits(rbf_kernel(Q, X, gamma), ref.rbf_kernel(Q, X, gamma))
 
     @settings(max_examples=120, deadline=None)
@@ -85,9 +85,9 @@ class TestInPlaceBuild:
         # whole X @ X'.  Each product 2 a.b then moves by at most
         # d eps (|a|^2 + |b|^2), so K moves by a factor of at most
         # exp(gamma d eps (|a|^2 + |b|^2)); exp and the lam sum add an ulp each.
-        X, y, _ = inputs
-        H = lower_triangle(_packed_system(X, y, gamma, lam))
-        H_ref = np.tril(ref._dual_system(X, y, gamma, lam)[0][1:, 1:])
+        X, _, _ = inputs
+        H = lower_triangle(_packed_system(X, gamma, lam))
+        H_ref = np.tril(ref.rbf_kernel(X, X, gamma) + lam * np.eye(len(X)))
         norms = np.sum(X * X, axis=1)
         drift = np.expm1(gamma * X.shape[1] * np.finfo(float).eps
                          * (norms[:, None] + norms[None, :]))
@@ -97,17 +97,16 @@ class TestInPlaceBuild:
 
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     def test_block_rows_share_one_buffer(self, n):
-        rows = _packed_system(np.random.default_rng(n).normal(size=(n, 3)), np.ones(n),
-                              0.5, 1e-3)
+        rows = _packed_system(np.random.default_rng(n).normal(size=(n, 3)), 0.5, 1e-3)
         base = rows[0].base
         assert all(R.base is base and R.flags.c_contiguous for R in rows)
         assert sum(R.size for R in rows) == base.size
         assert base.size <= n * (n + BLOCK) // 2 + BLOCK * BLOCK
 
     def test_signed_zeros_cleared(self):
-        # Far rows give K = 0.0; y_i y_j = -1 would make it -0.0 in Omega.
+        # Far rows give K = 0.0, and no label sign can make it -0.0.
         X = np.array([[0.0], [100.0]])
-        (R,) = _packed_system(X, np.array([1.0, -1.0]), 10.0, 1e-6)
+        (R,) = _packed_system(X, 10.0, 1e-6)
         assert R[1, 0] == 0.0 and np.signbit(R).sum() == 0
 
     def test_out_is_filled_and_returned(self):
@@ -167,7 +166,7 @@ class TestPeakMemory:
         n, d = 1500, 10
         rng = np.random.default_rng(4)
         model = LssvmModel(ModelSpec("lssvm", {"kernel_gamma": 0.1}), (), ("neg", "pos"),
-                           rng.normal(size=(n, d)), np.ones(n), rng.normal(size=n), 0.5,
+                           rng.normal(size=(n, d)), rng.normal(size=n), 0.5,
                            np.zeros(d), np.ones(d))
         Q = rng.normal(size=(3000, d))
         small = traced_peak(model.decision_values, Q[:BLOCK + 1])

@@ -58,7 +58,7 @@ class TestLssvm:
     def test_dual_system_residual(self, binary_ds):
         m = fit_model(ModelSpec("lssvm", {"lambda": 1e-4, "kernel_gamma": 0.5}),
                       binary_ds)
-        assert m.system_residual() <= 1e-8
+        assert m.system_residual(binary_ds) <= 1e-8
 
     def test_requires_binary(self, multiclass_ds):
         with pytest.raises(ModelError, match="binary"):

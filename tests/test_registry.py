@@ -18,6 +18,7 @@ from genflow.models import (
     fit_model,
     model_from_document,
 )
+from genflow.models.base import encode_array
 from genflow.models.ova import OneVsAllModel
 from genflow.selection import _resolve_spec
 
@@ -84,6 +85,20 @@ class TestRecords:
         del doc["parameters"]
         with pytest.raises(ModelError, match="logreg model document.*'parameters'"):
             model_from_document(doc)
+
+    @pytest.mark.parametrize("family, n_classes", [("lssvm", 2), ("ova_svm", 3)])
+    def test_signed_lssvm_document_is_model_error(self, family, n_classes):
+        """An LS-SVM written in the signed form (``signs`` and ``alpha``, no
+        ``coef``) fails to load rather than scoring with the wrong meaning."""
+        doc = fit_model(ModelSpec(family, {"lambda": 1e-2}), toy(12, 2, n_classes, 0)
+                        ).to_document()
+        lssvm_docs = doc["parameters"]["members"] if family == "ova_svm" else [doc]
+        for member in lssvm_docs:
+            coef = member["parameters"].pop("coef")
+            member["parameters"]["signs"] = encode_array(np.ones(coef["shape"]))
+            member["parameters"]["alpha"] = coef
+        with pytest.raises(ModelError, match="lssvm model document.*'coef'"):
+            model_from_document(json.loads(json.dumps(doc)))
 
     def test_ova_records_share_their_base(self):
         ova = {n: f for n, f in FAMILIES.items() if f.ova_base}
