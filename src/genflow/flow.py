@@ -424,10 +424,10 @@ def _refuse_oversized(config: FlowConfig, route: str, n_train: int, n_classes: i
     would not fit in physical memory.  The final refit on the whole training
     split bounds every fold and hierarchy-level fit.  Its packed system
     holds about n_train (n_train + 256) / 2 words, and the test rows are
-    scored in 256-row chunks, so the test split does not enter the estimate.
+    scored in 32-row chunks, so the test split does not enter the estimate.
     A binned ranker peaks in ``_mi_from_joint`` on a bin_count x C table
-    (bin_count x bin_count for mRMR): 25 bytes a cell for the counts, ``p``,
-    ``px @ py`` and ``p > 0``, and about 32 a bin for marginals and edges."""
+    (bin_count x bin_count for mRMR): 17 bytes a cell, 16 for the counts and
+    ``p`` and one of slack, and about 32 a bin for marginals and edges."""
     available = physical_memory_bytes()
     flat, levels = _route_families(config, route)
     kernel = {*flat, *(levels if config.hierarchy else ())} & {"lssvm", "ova_svm"}
@@ -439,7 +439,7 @@ def _refuse_oversized(config: FlowConfig, route: str, n_train: int, n_classes: i
             "from --families or lower --train-fraction")
     methods = set(config.ranking_methods)
     width = max(n_classes, config.bin_count if "mrmr" in methods else 0)
-    if methods - {"fisher"} and (estimate := config.bin_count * (25 * width + 32)) > available:
+    if methods - {"fisher"} and (estimate := config.bin_count * (17 * width + 32)) > available:
         raise DataError(
             f"the binned rankers need about {estimate / 2**30:.2f} GiB for "
             f"{config.bin_count} bins, more than the {available / 2**30:.1f} GiB "

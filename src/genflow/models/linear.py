@@ -199,10 +199,8 @@ class MultinomialLogregModel(TrainedModel):
         nll, ZT, logZ = softmax_nll(B, XT, label_at, l2)
         G = softmax_grad(B, Xs, YT, ZT, logZ, l2)
         lr = 1.0 / max(len(y), 1)
-        converged = False
         for _ in range(MAX_GD_ITER):
             if np.linalg.norm(G) <= GRAD_TOL:
-                converged = True
                 break
             # Backtracking on the fixed-direction gradient step; a rejected
             # trial needs only its NLL, the accepted one also its gradient.
@@ -214,12 +212,12 @@ class MultinomialLogregModel(TrainedModel):
                     break
                 t *= 0.5
             else:
-                converged = True
-                break
+                break  # no step lowers the NLL: stalled, not converged
             if nll - nll_new > 0:
                 lr = min(t * 2.0, 1.0)
             B, nll = B_new, nll_new
             G = softmax_grad(B, Xs, YT, ZT, logZ, l2)
+        converged = np.linalg.norm(G) <= GRAD_TOL
         coef = np.empty_like(B)
         coef[:, 1:] = B[:, 1:] / sd
         coef[:, 0] = B[:, 0] - coef[:, 1:] @ mu

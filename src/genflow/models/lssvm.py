@@ -16,9 +16,9 @@ so thresholding behaves like the probabilistic families.
 Memory: only the lower triangle of K + lam I is stored, as block rows of
 ``BLOCK`` rows in one flat buffer (block row k holds rows i_k:j_k,
 columns 0:j_k), about n(n + BLOCK)/2 words; the Cholesky factor overwrites
-it block row by block row.  The factor also keeps the inverses of its
-diagonal blocks, at most BLOCK*n words.  Scoring m rows computes the
-kernel over ``BLOCK``-row chunks through one BLOCK x n slab, so no m x n
+it block row by block row, each diagonal block by its inverse, through one
+BLOCK x BLOCK scratch.  Scoring m rows computes the kernel over
+``ROW_BLOCK``-row chunks through one ROW_BLOCK x n slab, so no m x n
 kernel is ever whole.  ``peak_bytes`` is the estimate; ``run_flow``
 refuses a job whose estimate exceeds physical memory (CLI exit 2).
 """
@@ -33,18 +33,19 @@ from .base import ModelSpec, TrainedModel, squash, standardize
 __all__ = ["LssvmModel", "peak_bytes", "rbf_kernel"]
 
 
-# Rows per block of the kernel's elementwise steps: a block stays in cache
-# through all five, and its scratch is the kernel's only temporary.
+# Rows per block of the kernel's elementwise steps and per scoring chunk: a
+# block stays in cache through all five; its scratch is the only temporary.
 ROW_BLOCK = 32
 
-# Rows per block row of the packed system, and per scoring chunk.
+# Rows per block row of the packed system.
 BLOCK = 256
 
 
-def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float,
-               out: np.ndarray | None = None) -> np.ndarray:
+def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float, out: np.ndarray | None = None,
+               b2: np.ndarray | None = None) -> np.ndarray:
     """exp(-gamma * ||a - b||^2) for every row pair, written into ``out``
-    (a new array if None).
+    (a new array if None).  ``b2`` is ``np.sum(B * B, axis=1)`` when the
+    caller has it already.
 
     The product 2 A B' is written straight into ``out`` by one GEMM (a
     strided view included), and the squared distances and ``exp`` replace
@@ -54,7 +55,7 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float,
     can differ from the whole-matrix one in the last bits."""
     out = np.matmul(2.0 * A, B.T, out=out)
     a2 = np.sum(A * A, axis=1)[:, None]
-    b2 = np.sum(B * B, axis=1)[None, :]
+    b2 = (np.sum(B * B, axis=1) if b2 is None else b2)[None, :]
     # Full ROW_BLOCK rows even when m is smaller: scratches sized to m
     # fragmented the heap (+0.2 MB peak RSS over 40 WBC-sized runs).
     scratch = np.empty((ROW_BLOCK, out.shape[1]))
@@ -97,64 +98,61 @@ def _lower_inverse(L: np.ndarray, out: np.ndarray) -> np.ndarray:
     would take an LU of the already triangular block: it is about twice as
     slow at 256 rows, and its blocked LAPACK path raised the peak RSS of a
     WBC-sized benchmark run by about 0.5 MB (OpenBLAS, x86-64)."""
+    out[...] = 0.0
     for r in range(len(L)):
         out[r, :r] = -(L[r, :r] @ out[:r, :r]) / L[r, r]
         out[r, r] = 1.0 / L[r, r]
     return out
 
 
-def _factor_in_place(rows: list[np.ndarray]) -> list[np.ndarray]:
+def _factor_in_place(rows: list[np.ndarray]) -> None:
     """Overwrite the packed block rows of the SPD matrix H with those of its
-    Cholesky factor L (H = L L'), up-looking, and return the inverses of
-    L's diagonal blocks; raise ``np.linalg.LinAlgError`` if a diagonal
-    block is not positive definite.
+    Cholesky factor L (H = L L'), up-looking, except that each diagonal
+    block holds inv(L_kk): once factored, a block is read only through its
+    inverse.  Raise ``np.linalg.LinAlgError`` if a diagonal block is not
+    positive definite.
 
     Block row k reads only the finished rows above it.  Each earlier block
     m becomes (H_km - L_k,<m L_m,<m') inv(L_mm)'; then the diagonal block
-    takes the product L_k,<k L_k,<k' off and a ``np.linalg.cholesky``, and
-    is written whole, with zeros above.  Every product goes through one
-    scratch, and the inverses share one flat buffer, so a fit allocates no
-    temporary per block."""
-    # Products start at the second block row; none is wider than the first.
-    b0 = rows[0].shape[0]
-    scratch = np.empty(b0 * max((R.shape[0] for R in rows[1:]), default=0))
-    flat = np.zeros(sum(R.shape[0] ** 2 for R in rows))
-    inverses: list[np.ndarray] = []
-    for R in rows:
+    takes the product L_k,<k L_k,<k' off, is factored by
+    ``np.linalg.cholesky`` and is overwritten whole by its inverse, with
+    zeros above.  Every product and inverse goes through one BLOCK x BLOCK
+    scratch, so a fit allocates no temporary per block."""
+    b0 = rows[0].shape[0]  # no block is larger than the first
+    scratch = np.empty(b0 * b0)
+    for k, R in enumerate(rows):
         b, j = R.shape
-        for Rm, inv_m in zip(rows, inverses):  # the finished block rows
+        for Rm in rows[:k]:  # the finished block rows
             bm, jm = Rm.shape
             im = jm - bm
             T = scratch[:b * bm].reshape(b, bm)
             S = R[:, im:jm]
             if im:
                 S -= np.matmul(R[:, :im], Rm[:, :im].T, out=T)
-            S[...] = np.matmul(S, inv_m.T, out=T)
+            S[...] = np.matmul(S, Rm[:, im:].T, out=T)
         i = j - b
         D = R[:, i:]
+        T = scratch[:b * b].reshape(b, b)
         if i:
-            D -= np.matmul(R[:, :i], R[:, :i].T, out=scratch[:b * b].reshape(b, b))
-        D[...] = np.linalg.cholesky(D)
-        start = sum(inv.size for inv in inverses)
-        inverses.append(_lower_inverse(D, flat[start:start + b * b].reshape(b, b)))
-    return inverses
+            D -= np.matmul(R[:, :i], R[:, :i].T, out=T)
+        D[...] = _lower_inverse(np.linalg.cholesky(D), T)
 
 
-def _solve_in_place(rows: list[np.ndarray], inverses: list[np.ndarray],
-                    X: np.ndarray) -> np.ndarray:
+def _solve_in_place(rows: list[np.ndarray], X: np.ndarray) -> np.ndarray:
     """Overwrite ``X`` with the solution of (L L') Z = X for the factor that
     ``_factor_in_place`` left in ``rows``: a forward then a backward solve
-    by block rows, each diagonal block applied through its inverse."""
-    for R, inv in zip(rows, inverses):
+    by block rows, each diagonal block applied through the inverse that
+    holds its place."""
+    for R in rows:
         b, j = R.shape
         i = j - b
         if i:
             X[i:j] -= R[:, :i] @ X[:i]
-        X[i:j] = inv @ X[i:j]
-    for R, inv in zip(reversed(rows), reversed(inverses)):
+        X[i:j] = R[:, i:] @ X[i:j]
+    for R in reversed(rows):
         b, j = R.shape
         i = j - b
-        X[i:j] = inv.T @ X[i:j]
+        X[i:j] = R[:, i:].T @ X[i:j]
         if i:
             X[:i] -= R[:, :i].T @ X[i:j]
     return X
@@ -164,33 +162,35 @@ def _dual_coefficients(rows: list[np.ndarray], y: np.ndarray) -> tuple[np.ndarra
     """``(coef, bias)`` solving [[0, 1'], [1, H]] [bias; coef] = [0; y] for
     H = K + lam I packed in ``rows`` (overwritten by its factor): with
     u = H^-1 1 and v = H^-1 y, bias = 1'v / 1'u and coef = v - bias * u."""
-    inverses = _factor_in_place(rows)
+    _factor_in_place(rows)
     ones = np.ones_like(y)
-    u, v = _solve_in_place(rows, inverses, np.column_stack([ones, y])).T
+    u, v = _solve_in_place(rows, np.column_stack([ones, y])).T
     # BLAS dots, as the signed form's y'nu and y'eta: a pairwise sum() differs in bits.
     bias = float(ones @ v / (ones @ u))
     return v - bias * u, bias
 
 
 def _kernel_times(Q: np.ndarray, S: np.ndarray, gamma: float, w: np.ndarray) -> np.ndarray:
-    """``rbf_kernel(Q, S, gamma) @ w``, computed over ``BLOCK``-row chunks
-    of Q through one slab of at most BLOCK x len(S)."""
+    """``rbf_kernel(Q, S, gamma) @ w``, computed over ``ROW_BLOCK``-row
+    chunks of Q through one slab of at most ROW_BLOCK x len(S); the squared
+    norms of S are summed once for every chunk."""
     f = np.empty(len(Q))
-    slab = np.empty((min(BLOCK, len(Q)), len(S)))
-    for i in range(0, len(Q), BLOCK):
-        q = Q[i:i + BLOCK]
-        np.matmul(rbf_kernel(q, S, gamma, out=slab[:len(q)]), w, out=f[i:i + BLOCK])
+    slab = np.empty((min(ROW_BLOCK, len(Q)), len(S)))
+    s2 = np.sum(S * S, axis=1)
+    for i in range(0, len(Q), ROW_BLOCK):
+        q = Q[i:i + ROW_BLOCK]
+        np.matmul(rbf_kernel(q, S, gamma, out=slab[:len(q)], b2=s2), w, out=f[i:i + ROW_BLOCK])
     return f
 
 
 def peak_bytes(n_fit: int) -> int:
-    """Bytes held at the peak of an LS-SVM fit on ``n_fit`` rows, which
-    bounds scoring against them too: the packed system, the inverses of its
-    diagonal blocks (at most BLOCK x n_fit), one more BLOCK x n_fit that
-    bounds the scoring slab and, once n_fit >= 3 BLOCK, the factor's
-    scratch with ``np.linalg.cholesky``'s two copies of a diagonal block,
-    and the kernel's ROW_BLOCK x n_fit scratch."""
-    return 8 * (_packed_words(n_fit) + (2 * BLOCK + ROW_BLOCK) * n_fit)
+    """Bytes held at the peak of an LS-SVM fit on ``n_fit`` rows, beside
+    the rows themselves: the packed system, the kernel's ROW_BLOCK x n_fit
+    scratch while it is built, and the factor's BLOCK x BLOCK scratch with
+    ``np.linalg.cholesky``'s two copies of a diagonal block.  Scoring
+    against the fit rows holds two ROW_BLOCK x n_fit buffers, the slab and
+    the kernel's scratch, and no packed system, so this bounds it too."""
+    return 8 * (_packed_words(n_fit) + ROW_BLOCK * n_fit + 3 * min(n_fit, BLOCK) ** 2)
 
 
 class LssvmModel(TrainedModel):
@@ -216,7 +216,7 @@ class LssvmModel(TrainedModel):
     def system_residual(self, train: Dataset) -> float:
         """Relative residual of [[0, 1'], [1, K + lam I]] [bias; coef] = [0; y]
         at the fitted solution, y being the +-1 labels of the fit rows
-        ``train``, with K's rows streamed by ``BLOCK``-row chunks."""
+        ``train``, with K's rows streamed by ``ROW_BLOCK``-row chunks."""
         lam = float(self.spec.param("lambda", 1e-6))
         gamma = float(self.spec.param("kernel_gamma", 1.0 / self.support.shape[1]))
         coef = self.coef

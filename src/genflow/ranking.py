@@ -102,10 +102,10 @@ def discretize(values: np.ndarray, bin_count: int) -> np.ndarray:
 def _mi_from_joint(joint: np.ndarray) -> float:
     """MI in nats from a joint count (or probability) table."""
     p = joint / joint.sum()
-    px = p.sum(axis=1, keepdims=True)
-    py = p.sum(axis=0, keepdims=True)
-    nz = p > 0
-    return float(np.sum(p[nz] * np.log(p[nz] / (px @ py)[nz])))
+    i, j = np.nonzero(p)
+    # one rounded product a cell: the bits of the outer product px py'
+    pxy = p.sum(axis=1)[i] * p.sum(axis=0)[j]
+    return float(np.sum(p[i, j] * np.log(p[i, j] / pxy)))
 
 
 def mutual_information(train: Dataset, bin_count: int = 10) -> RankedFeatures:

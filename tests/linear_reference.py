@@ -111,10 +111,8 @@ def fit_multinomial(X: np.ndarray, y: np.ndarray, n_classes: int,
     B = np.zeros((C, X.shape[1] + 1))
     nll, G = softmax_nll_grad(B, Xs, y, l2)
     lr = 1.0 / max(len(y), 1)
-    converged = False
     for _ in range(MAX_GD_ITER):
         if np.linalg.norm(G) <= GRAD_TOL:
-            converged = True
             break
         t = lr
         for _ in range(40):
@@ -124,11 +122,11 @@ def fit_multinomial(X: np.ndarray, y: np.ndarray, n_classes: int,
                 break
             t *= 0.5
         else:
-            converged = True
             break
         if nll - nll_new > 0:
             lr = min(t * 2.0, 1.0)
         B, nll, G = B_new, nll_new, G_new
+    converged = np.linalg.norm(G) <= GRAD_TOL
     coef = np.empty_like(B)
     coef[:, 1:] = B[:, 1:] / sd
     coef[:, 0] = B[:, 0] - coef[:, 1:] @ mu

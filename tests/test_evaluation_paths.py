@@ -326,10 +326,10 @@ class TestBinCount:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("methods, n_classes, nbytes", [
-        (("mutual_info",), 2, 1000 * (25 * 2 + 32)),
-        (("fisher", "chi_squared"), 6, 1000 * (25 * 6 + 32)),
-        (("mrmr",), 2, 1000 * (25 * 1000 + 32)),
-        (("mrmr",), 1200, 1000 * (25 * 1200 + 32)),
+        (("mutual_info",), 2, 1000 * (17 * 2 + 32)),
+        (("fisher", "chi_squared"), 6, 1000 * (17 * 6 + 32)),
+        (("mrmr",), 2, 1000 * (17 * 1000 + 32)),
+        (("mrmr",), 1200, 1000 * (17 * 1200 + 32)),
     ])
     def test_bound_is_the_largest_table(self, monkeypatch, methods, n_classes, nbytes):
         config = FlowConfig(ranking_methods=methods, bin_count=1000,

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 from genflow import DataError, Dataset, FlowConfig, HierarchyLevel, HierarchySpec, flow, run_flow
 from genflow.cli import main
 from genflow.models import ModelSpec, fit_model
-from genflow.models.lssvm import (BLOCK, ROW_BLOCK, LssvmModel, _packed_system, peak_bytes,
-                                  rbf_kernel)
+from genflow.models.lssvm import (BLOCK, ROW_BLOCK, LssvmModel, _packed_system, _packed_words,
+                                  peak_bytes, rbf_kernel)
 from tests import lssvm_reference as ref
 from tests.conftest import make_binary, make_multiclass
 from tests.test_evaluation_paths import forbid_fits
@@ -147,6 +147,13 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def traced_fit_peak(n):
+    rng = np.random.default_rng(1)
+    ds = Dataset(rng.normal(size=(n, 10)), (rng.random(n) < 0.4).astype(int),
+                 tuple(f"f{i}" for i in range(10)), ("neg", "pos"))
+    return traced_peak(fit_model, ModelSpec("lssvm", {"lambda": 1e-6, "kernel_gamma": 0.1}), ds)
+
+
 class TestPeakMemory:
     def test_kernel_two_buffers(self):
         m, n = 3000, 1500
@@ -155,12 +162,13 @@ class TestPeakMemory:
         assert traced_peak(rbf_kernel, Q, X, 0.1) <= 2.1 * m * n * 8
 
     def test_fit_within_peak_bytes(self):
+        assert traced_fit_peak(1500) <= peak_bytes(1500)
+
+    def test_fit_allocates_no_block_row_temporary(self):
+        # The diagonal blocks' inverses take their blocks' place, so nothing
+        # held beside the packed system is as large as BLOCK x n.
         n = 1500
-        rng = np.random.default_rng(1)
-        ds = Dataset(rng.normal(size=(n, 10)), (rng.random(n) < 0.4).astype(int),
-                     tuple(f"f{i}" for i in range(10)), ("neg", "pos"))
-        spec = ModelSpec("lssvm", {"lambda": 1e-6, "kernel_gamma": 0.1})
-        assert traced_peak(fit_model, spec, ds) <= 1.1 * peak_bytes(n)
+        assert traced_fit_peak(n) - 8 * _packed_words(n) < 8 * BLOCK * n
 
     def test_scoring_peak_independent_of_m(self):
         n, d = 1500, 10
@@ -173,7 +181,7 @@ class TestPeakMemory:
         large = traced_peak(model.decision_values, Q)
         # only the m x d standardized rows, its temporary and the m values grow
         assert large - small <= 8 * (len(Q) - BLOCK - 1) * (2 * d + 1)
-        assert large <= 8 * ((BLOCK + ROW_BLOCK) * n + len(Q) * (2 * d + 1)) + (1 << 16)
+        assert large <= 8 * (2 * ROW_BLOCK * n + len(Q) * (2 * d + 1)) + (1 << 16)
 
     def test_kernel_one_buffer(self):
         m, n = 3000, 1500
@@ -224,12 +232,12 @@ class TestOversizedKernelRefused:
         with pytest.raises(DataError, match="physical memory"):
             run_flow(data, FlowConfig(candidate_families=families, hierarchy=hierarchy))
 
-    @pytest.mark.parametrize("n_train, gib", [(5706, 0.15), (13314, 0.73)])
+    @pytest.mark.parametrize("n_train, gib", [(5706, 0.13), (13314, 0.68)])
     def test_bound_is_the_packed_refit(self, monkeypatch, n_train, gib):
         # the telescope split at the default --train-fraction 0.3 and at 0.7
         blocks = [(i, min(i + BLOCK, n_train)) for i in range(0, n_train, BLOCK)]
-        estimate = 8 * (sum((j - i) * j for i, j in blocks)
-                        + (2 * BLOCK + ROW_BLOCK) * n_train)
+        estimate = 8 * (sum((j - i) * j for i, j in blocks) + ROW_BLOCK * n_train
+                        + 3 * BLOCK * BLOCK)
         assert peak_bytes(n_train) == estimate
         assert round(estimate / 2**30, 2) == gib
         config = FlowConfig(candidate_families=("lssvm",))
@@ -246,5 +254,5 @@ class TestOversizedKernelRefused:
                        tuple(f"f{i}" for i in range(10)), ("g", "h"))
         monkeypatch.setattr(flow, "physical_memory_bytes", lambda: peak_bytes(13314) - 1)
         forbid_fits(monkeypatch)
-        with pytest.raises(DataError, match="0.73 GiB to fit 13314 training rows"):
+        with pytest.raises(DataError, match="0.68 GiB to fit 13314 training rows"):
             run_flow(data, FlowConfig(candidate_families=("lssvm",), train_fraction=0.7))

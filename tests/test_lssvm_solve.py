@@ -3,7 +3,8 @@ by an up-looking Cholesky of the packed K + lam I.  It must give the
 factor ``np.linalg.cholesky`` gives, coef = alpha * y and the bias of the
 dense bordered solve in ``tests/lssvm_reference.py`` and decision values of
 the same sign, across the block edges; it must keep the bits of the signed
-packed fit it replaced; scoring by row chunks must match the whole kernel;
+packed fit and of the fit with separate block inverses that it replaced;
+scoring by row chunks must match the whole kernel;
 a matrix that is not positive definite is a typed fit failure."""
 
 import json
@@ -14,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from genflow.cli import main
 from genflow.models import ModelSpec, lssvm
-from genflow.models.lssvm import (BLOCK, LssvmModel, _dual_coefficients, _kernel_times,
-                                  _packed_system, rbf_kernel)
+from genflow.models.lssvm import (BLOCK, ROW_BLOCK, LssvmModel, _dual_coefficients,
+                                  _kernel_times, _packed_system, rbf_kernel)
 from tests import lssvm_reference as ref
 from tests.test_lssvm_builder import dual_inputs, lower_triangle, same_bits
 from tests.test_report_cli import write_toy_csv
@@ -24,8 +25,9 @@ from tests.test_report_cli import write_toy_csv
 def check_against_oracle(X, y, Q, gamma, lam):
     A, rhs = ref._dual_system(X, y, gamma, lam)
     H = A[1:, 1:] * np.outer(y, y)  # K + lam I: Omega + lam I with its signs undone
+    coef, bias = _dual_coefficients(_packed_system(X, gamma, lam), y)
     rows = _packed_system(X, gamma, lam)
-    coef, bias = _dual_coefficients(rows, y)
+    ref.factor_in_place(rows)
     L = lower_triangle(rows)
     # L L' reproduces H at every lam.  At lam = 1e-6 with duplicated wide
     # rows H is nearly singular: over 300 random draws the error reached
@@ -102,6 +104,49 @@ class TestSignedOracleBits:
         check_signed_bits(X, y, rng.normal(size=(50, 5)), 0.2, lam)
 
 
+def check_reference_bits(X, y, Q, gamma, lam):
+    """The factored rows are the reference factor's with each diagonal block
+    replaced by its inverse, coef and bias are hex-equal to the reference
+    fit's, and decision values are within rtol 1e-12 of its ``BLOCK``-row
+    scoring, with the same sign wherever |f| > 1e-9."""
+    rows = _packed_system(X, gamma, lam)
+    coef, bias = _dual_coefficients(rows, y)
+    ref_rows = _packed_system(X, gamma, lam)
+    inverses = ref.factor_in_place(ref_rows)
+    coef_ref, bias_ref = ref.dual_coefficients(ref_rows, inverses, y)
+    assert same_bits(coef, coef_ref)
+    assert bias.hex() == bias_ref.hex()
+    for R, inv in zip(ref_rows, inverses):
+        R[:, R.shape[1] - len(inv):] = inv
+    assert all(same_bits(R, R_ref) for R, R_ref in zip(rows, ref_rows))
+    d = X.shape[1]
+    model = LssvmModel(ModelSpec("lssvm", {"kernel_gamma": gamma}), (), ("neg", "pos"),
+                       X, coef, bias, np.zeros(d), np.ones(d))
+    f = model.decision_values(Q)
+    f_ref = ref.kernel_times(Q, X, gamma, coef_ref) + bias_ref
+    scale = np.abs(coef).sum() + abs(bias)
+    np.testing.assert_allclose(f, f_ref, rtol=1e-12, atol=1e-12 * scale)
+    decided = np.abs(f_ref) > 1e-9
+    assert (np.sign(f[decided]) == np.sign(f_ref[decided])).all()
+
+
+class TestInPlaceInverseBits:
+    @settings(max_examples=120, deadline=None)
+    @given(inputs=dual_inputs(), gamma=st.sampled_from([1e-3, 0.1, 1.0, 10.0]),
+           lam=st.sampled_from([1e-6, 1e-2]))
+    def test_matches_reference_fit(self, inputs, gamma, lam):
+        check_reference_bits(*inputs, gamma, lam)
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("lam", [1e-6, 1e-2])
+    def test_block_edges(self, n, lam):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 5))
+        y = np.where(rng.random(n) < 0.4, -1.0, 1.0)
+        # more query rows than one reference chunk, so both chunkings split
+        check_reference_bits(X, y, rng.normal(size=(BLOCK + 45, 5)), 0.2, lam)
+
+
 class TestStreamedScoring:
     @settings(max_examples=60, deadline=None)
     @given(inputs=dual_inputs(), gamma=st.sampled_from([1e-3, 0.1, 1.0, 10.0]),
@@ -121,6 +166,15 @@ class TestStreamedScoring:
         np.testing.assert_allclose(f, f_whole, rtol=1e-12, atol=1e-12 * scale)
         decided = np.abs(f_whole) > 1e-9
         assert (np.sign(f[decided]) == np.sign(f_whole[decided])).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=dual_inputs(), gamma=st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+    def test_chunks_keep_the_kernel_bits(self, inputs, gamma):
+        # The support's squared norms, summed once, are the kernel's own.
+        X, _, Q = inputs
+        w = np.random.default_rng(len(X)).normal(size=len(X))
+        f = [rbf_kernel(Q[i:i + ROW_BLOCK], X, gamma) @ w for i in range(0, len(Q), ROW_BLOCK)]
+        assert same_bits(_kernel_times(Q, X, gamma, w), np.concatenate(f))
 
 
 def test_failed_factor_is_a_failed_grid_point(tmp_path, monkeypatch):

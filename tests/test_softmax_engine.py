@@ -56,6 +56,26 @@ def test_multinomial_fit_matches_reference(task):
     assert model.converged == converged
 
 
+def test_stalled_line_search_is_not_converged(monkeypatch):
+    """When all 40 step halvings raise the NLL the fit stops at its start
+    and does not claim convergence."""
+    from genflow.models import linear
+    real = linear.softmax_nll
+    calls = []
+
+    def rising(B, XT, label_at, l2):
+        nll, ZT, logZ = real(B, XT, label_at, l2)
+        calls.append(B)
+        return (nll if len(calls) == 1 else np.inf), ZT, logZ
+
+    monkeypatch.setattr(linear, "softmax_nll", rising)
+    data = make_multiclass(n=60, d=3, n_classes=3, seed=2)
+    model = fit_model(ModelSpec("multinomial_logreg", {"l2": 1e-6}), data)
+    assert len(calls) == 41  # the start and 40 rejected trials
+    assert model.converged is False
+    assert not model.coef.any()
+
+
 def six_class_fold() -> Dataset:
     """The 574 x 5 six-class fold ``scripts/bench_fits.py`` times: the 30%
     stratified training split of the seed-0 six-class set, restricted to the
