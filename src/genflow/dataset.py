@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -153,6 +154,8 @@ def load_dataset(path, label_column, na_policy: str = "fail",
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        if repeated := [h for h, k in Counter(header).items() if k > 1]:
+            raise DataError(f"{path}: repeated column names {repeated}")
         if isinstance(label_column, int) or (
             isinstance(label_column, str) and label_column not in header
             and label_column.lstrip("-").isdigit()

@@ -161,6 +161,8 @@ class HierarchySpec:
     levels: tuple[HierarchyLevel, ...]
 
     def __post_init__(self):
+        if not self.levels:
+            raise DataError("a hierarchy needs at least one level")
         # A level's files are named by file_stem("hierarchy:" + name), which maps
         # each character alone, so levels collide exactly when their names' stems do.
         stems = [file_stem(lv.name) for lv in self.levels]

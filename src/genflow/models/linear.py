@@ -7,8 +7,10 @@ intercept add, the column maxima, the shift, ``exp``, the log-partition
 sum) runs over length-N rows rather than over length-C rows.  Its bits are
 those of row-major N x C code: the product and maxima are bit-equal in
 either layout, and :func:`_class_sums` adds the classes in NumPy's own
-row-sum order.  Two reductions have layout-dependent bits and so still run
-on a row-major N x C residual ``D``: ``D.T @ X`` and ``D.sum(axis=0)``.
+row-sum order: below 8 classes by an axis-0 reduction over whole rows,
+from 8 on by summing the row-major transpose itself.  Two reductions have
+layout-dependent bits and so still run on a row-major N x C residual
+``D``: ``D.T @ X`` and ``D.sum(axis=0)``.
 """
 
 from __future__ import annotations
@@ -60,30 +62,14 @@ def _class_sums(E: np.ndarray) -> np.ndarray:
     """Sum of the C rows of a C x N array, bit-equal to NumPy's row sums of
     the N x C transpose, ``np.ascontiguousarray(E.T).sum(axis=1)``.
 
-    NumPy sums a contiguous row pairwise: from +0.0, one term at a time
-    below 8 terms; in eight strided accumulators, combined as a tree, up to
-    128; above that, the two halves (the first a multiple of 8) separately.
-    Each step here adds whole length-N rows in that order.
+    Below 8 terms NumPy sums a row one term at a time from +0.0, which is
+    the order of the axis-0 reduction over whole rows; ``+ 0.0`` turns a
+    column of -0.0 terms into the +0.0 that order starts from.  From 8
+    classes on the transpose is summed as defined.
     """
-    C = len(E)
-    if C < 8:
-        s = E[0] + 0.0
-        for c in range(1, C):
-            s += E[c]
-        return s
-    if C > 128:
-        half = C // 2 - C // 2 % 8
-        return _class_sums(E[:half]) + _class_sums(E[half:])
-    r = E[:8].copy()
-    tail = C - C % 8
-    for i in range(8, tail, 8):
-        r += E[i:i + 8]
-    s = (r[0] + r[1]) + (r[2] + r[3])
-    s += (r[4] + r[5]) + (r[6] + r[7])
-    for c in range(tail, C):
-        s += E[c]
-    s += 0.0  # NumPy adds the sum to a +0.0 start, so -0.0 becomes +0.0
-    return s
+    if len(E) < 8:
+        return E.sum(axis=0) + 0.0
+    return np.ascontiguousarray(E.T).sum(axis=1)
 
 
 def softmax_nll(B: np.ndarray, XT: np.ndarray, label_at: np.ndarray,
@@ -148,12 +134,10 @@ class LogisticRegressionModel(TrainedModel):
         l2 = float(spec.param("l2", DEFAULT_L2))
         n, d = X.shape
         w = np.zeros(d + 1)
-        converged = False
         Xb = np.column_stack([np.ones(n), X])
         nll, g, p = _logistic_terms(w, X, y, l2)
         for _ in range(MAX_NEWTON_ITER):
             if np.linalg.norm(g) <= GRAD_TOL:
-                converged = True
                 break
             r = np.maximum(p * (1 - p), 1e-12)
             H = (Xb * r[:, None]).T @ Xb
@@ -171,8 +155,7 @@ class LogisticRegressionModel(TrainedModel):
                     break
                 t *= 0.5
             w, nll, g, p = w_new, nll_new, g_new, p_new
-        else:
-            converged = np.linalg.norm(g) <= GRAD_TOL
+        converged = np.linalg.norm(g) <= GRAD_TOL
         return cls(spec, train.feature_names, train.class_names, w[0], w[1:],
                    converged=converged)
 

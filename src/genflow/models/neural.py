@@ -61,19 +61,18 @@ class NeuralNetModel(TrainedModel):
         W2 = rng.uniform(-INIT_HALF_WIDTH, INIT_HALF_WIDTH, size=(hidden, out_dim))
         b2 = rng.uniform(-INIT_HALF_WIDTH, INIT_HALF_WIDTH, size=out_dim)
         step = lr / len(y)
-        converged = False
         for _ in range(MAX_EPOCHS):
             gW1, gb1, gW2, gb2 = nn_grad(W1, b1, W2, b2, X, y, C)
             gnorm = np.sqrt(
                 np.sum(gW1**2) + np.sum(gb1**2) + np.sum(gW2**2) + np.sum(gb2**2)
             )
             if gnorm <= GRAD_TOL:
-                converged = True
                 break
             W1 = W1 - step * gW1
             b1 = b1 - step * gb1
             W2 = W2 - step * gW2
             b2 = b2 - step * gb2
+        converged = gnorm <= GRAD_TOL
         return cls(spec, train.feature_names, train.class_names,
                    W1, b1, W2, b2, mu, sd, converged=converged)
 

@@ -241,6 +241,20 @@ class TestLoaderRaisesOnlyDataError:
         path = write_csv(tmp_path / "data.csv", ["a", "label"], [[1, "x"], [2, "y"]])
         self.assert_exit_2(path, ["--delimiter", ";;"], capsys)
 
+    # A second label column would stay in as a feature; twin features could
+    # not be told apart in a saved model document.
+    @pytest.mark.parametrize("header, repeated", [(["f0", "label", "label"], "'label'"),
+                                                  (["f0", "f0", "label"], "'f0'")])
+    def test_repeated_column_names_exit_2(self, tmp_path, capsys, header, repeated):
+        from genflow.cli import main
+
+        path = write_csv(tmp_path / "data.csv", header, [[1, 0, 0], [2, 1, 1]] * 20)
+        out = tmp_path / "out"
+        assert main(["--data", str(path), "--label-col", "label", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and f"repeated column names [{repeated}]" in err
+        assert not out.exists()
+
     @staticmethod
     def assert_exit_2(path, extra, capsys):
         from genflow.cli import main

@@ -400,6 +400,13 @@ class TestRefusedBeforeSplit:
             assert "is not a directory" in capsys.readouterr().err
         assert blocker.read_text() == "not a directory\n"
 
+    def test_empty_hierarchy_refused(self, monkeypatch):
+        forbid_fits(monkeypatch)
+        with pytest.raises(DataError, match="at least one level"):
+            run_flow(make_multiclass(n=120, seed=1), fast_config(
+                candidate_families=("multinomial_logreg", "logreg"),
+                ranking_methods=("fisher",), hierarchy=HierarchySpec(())))
+
     def test_colliding_level_names_refused_by_run_flow(self, monkeypatch):
         forbid_fits(monkeypatch)
         with pytest.raises(DataError, match=r"\['lv-2', 'lv_2'\]"):
