@@ -136,15 +136,15 @@ def load_dataset(path, label_column, na_policy: str = "fail",
     """Load a delimited text file (first row = header) into a Dataset.
 
     ``label_column`` is a header name or a 0-based column index.
-    ``na_policy`` is ``fail`` (any unparsable cell is an error) or
-    ``drop_row`` (rows with unparsable cells are discarded).
+    ``na_policy`` is ``fail`` (an unparsable cell or an empty label is an
+    error) or ``drop_row`` (rows with either are discarded).
     """
     if na_policy not in ("fail", "drop_row"):
         raise DataError(f"unknown na_policy: {na_policy!r}")
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise DataError(f"delimiter must be one character, got {delimiter!r}")
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -176,28 +176,29 @@ def load_dataset(path, label_column, na_policy: str = "fail",
                 continue
             if len(rec) != len(header):
                 raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(rec)}")
+            label = rec[label_idx].strip()
             vals = []
-            ok = True
             for i, cell in enumerate(rec):
                 if i == label_idx:
-                    continue
-                try:
-                    v = float(cell)
-                    if not math.isfinite(v):
-                        raise ValueError
-                except ValueError:
-                    ok = False
-                    if na_policy == "fail":
-                        raise DataError(
-                            f"{path}:{lineno}: unparsable cell {cell!r} in column {header[i]!r}"
-                        ) from None
-                    break
-                vals.append(v)
-            if not ok:
+                    if label:
+                        continue
+                    problem = "empty label"  # a missing value, not a class
+                else:
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        v = math.nan
+                    if math.isfinite(v):
+                        vals.append(v)
+                        continue
+                    problem = f"unparsable cell {cell!r}"
+                if na_policy == "fail":
+                    raise DataError(f"{path}:{lineno}: {problem} in column {header[i]!r}")
                 dropped += 1
-                continue
-            rows.append(vals)
-            raw_labels.append(rec[label_idx].strip())
+                break
+            else:
+                rows.append(vals)
+                raw_labels.append(label)
 
     if len(set(raw_labels)) < 2:
         raise DataError(f"{path}: fewer than 2 distinct labels")
@@ -210,7 +211,7 @@ def load_dataset(path, label_column, na_policy: str = "fail",
         source_id=str(path),
     )
     if dropped:
-        warnings.warn(f"{path}: dropped {dropped} rows with unparsable cells")
+        warnings.warn(f"{path}: dropped {dropped} rows with unparsable cells or empty labels")
     return data
 
 

@@ -196,11 +196,11 @@ class HierarchySpec:
 def load_hierarchy_spec(path) -> HierarchySpec:
     """Hierarchy file: a JSON list of {name, positive: [ids], negative: [ids]}."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot open hierarchy file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: invalid hierarchy document: {exc}") from exc
     if not isinstance(doc, list) or not doc:
         raise DataError(f"{path}: hierarchy must be a nonempty list of levels")
@@ -519,18 +519,16 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
         report.route = route
 
     # Final scoring of the chosen route (first stage that reads test data).
-    _final_score(flat, split.train, split.test)
     report.flat = flat
     if route == "multiclass_hierarchical":
-        for task, (_, train_lv, test_lv) in zip(level_tasks, levels):
-            _final_score(task, train_lv, test_lv)
         report.levels = level_tasks
-        report.combined = combine_level_metrics(
-            [t.test_metrics for t in level_tasks]
-        )
         report.combined_cv = hierarchy_cv
-    for task in report.tasks():
+    splits = [(split.train, split.test)] + [(tr, te) for _, tr, te in levels]
+    for task, (train, test) in zip(report.tasks(), splits):
+        _final_score(task, train, test)
         if task.roc is not None and not task.roc.roc:
             report.advisories.append(
                 f"ROC plot skipped for {task.name}: {task.roc.degenerate_flags}")
+    if report.levels:
+        report.combined = combine_level_metrics([t.test_metrics for t in report.levels])
     return report

@@ -88,9 +88,8 @@ def confusion_counts(true_labels, predicted_labels, n_classes: int | None = None
         n_classes = int(max(y.max(), p.max())) + 1
     if y.size and (y.min() < 0 or p.min() < 0 or y.max() >= n_classes or p.max() >= n_classes):
         raise ValueError("labels out of range")
-    m = np.zeros((n_classes, n_classes), dtype=int)
-    np.add.at(m, (y, p), 1)
-    return ConfusionCounts(m)
+    m = np.bincount(y * n_classes + p, minlength=n_classes * n_classes)
+    return ConfusionCounts(m.reshape(n_classes, n_classes))
 
 
 def _safe_div(num: float, den: float, flags: list[str], what: str) -> float:

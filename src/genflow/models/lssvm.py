@@ -127,14 +127,12 @@ def _factor_in_place(rows: list[np.ndarray]) -> None:
             im = jm - bm
             T = scratch[:b * bm].reshape(b, bm)
             S = R[:, im:jm]
-            if im:
-                S -= np.matmul(R[:, :im], Rm[:, :im].T, out=T)
+            S -= np.matmul(R[:, :im], Rm[:, :im].T, out=T)
             S[...] = np.matmul(S, Rm[:, im:].T, out=T)
         i = j - b
         D = R[:, i:]
         T = scratch[:b * b].reshape(b, b)
-        if i:
-            D -= np.matmul(R[:, :i], R[:, :i].T, out=T)
+        D -= np.matmul(R[:, :i], R[:, :i].T, out=T)
         D[...] = _lower_inverse(np.linalg.cholesky(D), T)
 
 
@@ -146,15 +144,13 @@ def _solve_in_place(rows: list[np.ndarray], X: np.ndarray) -> np.ndarray:
     for R in rows:
         b, j = R.shape
         i = j - b
-        if i:
-            X[i:j] -= R[:, :i] @ X[:i]
+        X[i:j] -= R[:, :i] @ X[:i]
         X[i:j] = R[:, i:] @ X[i:j]
     for R in reversed(rows):
         b, j = R.shape
         i = j - b
         X[i:j] = R[:, i:].T @ X[i:j]
-        if i:
-            X[:i] -= R[:, :i].T @ X[i:j]
+        X[:i] -= R[:, :i].T @ X[i:j]
     return X
 
 

@@ -99,8 +99,6 @@ def _best_split(g: np.ndarray, order: np.ndarray, vs: np.ndarray, g_sum: float):
     squared error.
     """
     n = order.shape[1]
-    if n < 2:
-        return None
     base = g_sum**2 / n
     csum = np.cumsum(g[order], axis=1)
     cut = np.flatnonzero(vs[:, 1:] > vs[:, :-1])  # split after position i
@@ -178,14 +176,12 @@ def grow_random_classification_tree(X: np.ndarray, y: np.ndarray, n_classes: int
         per_class = np.bincount(y[rows], minlength=n_classes)
         counts = per_class.astype(float)
         node = table.leaf(counts / counts.sum())
-        if depth >= max_depth or rows.size < 2 or counts.max() == counts.sum():
+        if depth >= max_depth or counts.max() == counts.sum():
             return node
         feats = rng.integers(0, X.shape[1], size=split_count)
         Xr = X[rows]
         lo, hi = Xr.min(axis=0)[feats], Xr.max(axis=0)[feats]
         live = hi > lo  # constant candidates draw no threshold
-        if not live.any():
-            return node
         feats = feats[live]
         thr = rng.uniform(lo[live], hi[live])
         left = Xr[:, feats] <= thr

@@ -9,6 +9,7 @@ from genflow import (
     Dataset,
     encode_sign_labels,
     load_dataset,
+    load_hierarchy_spec,
     stratified_split,
 )
 from genflow.dataset import train_count
@@ -255,6 +256,16 @@ class TestLoaderRaisesOnlyDataError:
         assert "data error" in err and f"repeated column names [{repeated}]" in err
         assert not out.exists()
 
+    def test_empty_label_fail_policy_exit_2(self, tmp_path, capsys):
+        from genflow.cli import main
+
+        path = write_csv(tmp_path / "data.csv", ["f0", "f1", "label"],
+                         [[1, 2, "a"], [3, 4, ""], [5, 6, "b"]] * 10)
+        out = tmp_path / "out"
+        assert main(["--data", str(path), "--label-col", "label", "--out", str(out)]) == 2
+        assert f"{path}:3: empty label in column 'label'" in capsys.readouterr().err
+        assert not out.exists()
+
     @staticmethod
     def assert_exit_2(path, extra, capsys):
         from genflow.cli import main
@@ -264,3 +275,36 @@ class TestLoaderRaisesOnlyDataError:
                      *extra]) == 2
         assert "data error" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestLoaderText:
+    def test_empty_label_drop_policy(self, tmp_path):
+        p = write_csv(tmp_path / "t.csv", ["f0", "f1", "class"],
+                      [[1, 2, "a"], [3, 4, ""], [5, 6, "b"], [7, 8, " "]])
+        with pytest.warns(UserWarning, match="dropped 2 rows"):
+            ds = load_dataset(p, "class", na_policy="drop_row")
+        assert ds.class_names == ("a", "b")
+        assert ds.features.tolist() == [[1.0, 2.0], [5.0, 6.0]]
+
+    # Spreadsheet tools that save "CSV UTF-8" start the file with a BOM.
+    @pytest.mark.parametrize("text", ["class,f0,f1\n0,1,2\n1,3,4\n",
+                                      "f0,f1,class\n1,2,0\n3,4,1\n"])
+    def test_byte_order_mark_is_not_part_of_a_name(self, tmp_path, text):
+        p = tmp_path / "t.csv"
+        p.write_text(text, encoding="utf-8-sig")
+        ds = load_dataset(p, "class")
+        assert ds.feature_names == ("f0", "f1")
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_hierarchy_file_with_byte_order_mark(self, tmp_path):
+        p = tmp_path / "h.json"
+        p.write_text('[{"name": "top", "positive": [0], "negative": [1, 2]}]',
+                     encoding="utf-8-sig")
+        spec = load_hierarchy_spec(p)
+        assert spec.to_list() == [{"name": "top", "positive": [0], "negative": [1, 2]}]
+
+    def test_hierarchy_file_not_utf8_is_a_data_error(self, tmp_path):
+        p = tmp_path / "h.json"
+        p.write_bytes(b'[{"name": "t\xff", "positive": [0], "negative": [1]}]')
+        with pytest.raises(DataError, match="invalid hierarchy document"):
+            load_hierarchy_spec(p)

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from genflow.cli import main
 from genflow.models import FAMILIES
 from genflow.report import dimsweep_svg, emit_bundle, report_body, roc_svg
 from tests.test_flow import fast_config
-from tests.conftest import make_binary
+from tests.conftest import group_hierarchy, make_binary, make_imbalanced6
 
 
 @pytest.fixture(scope="module")
@@ -269,3 +273,36 @@ class TestCli:
         assert main(["--data", str(data), "--label-col", "label",
                      "--families", "logreg", "--out", str(tmp_path / "out")]) == 2
         assert "data error: GENFLOW_SEED" in capsys.readouterr().err
+
+
+def test_report_body_independent_of_the_interpreter_process(tmp_path):
+    """Two fresh interpreters with different string-hash seeds write the
+    same report body: no set or dict order leaks into the report."""
+    ds = make_imbalanced6(n=600)
+    data = tmp_path / "six.csv"
+    with open(data, "w") as fh:
+        fh.write(",".join(ds.feature_names) + ",class\n")
+        for row, y in zip(ds.features, ds.labels):
+            fh.write(",".join(f"{v:.6f}" for v in row) + f",{ds.class_names[y]}\n")
+    hier = tmp_path / "hierarchy.json"
+    hier.write_text(json.dumps(group_hierarchy().to_list()))
+    src = Path(__file__).resolve().parents[1] / "src"
+    bodies = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed,
+                   OPENBLAS_NUM_THREADS="1")
+        out = tmp_path / f"out{hash_seed}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "genflow.cli", "--data", str(data),
+             "--label-col", "class", "--hierarchy", str(hier),
+             "--rankers", "fisher,mutual_info,chi_squared,mrmr",
+             "--families", "multinomial_logreg,logreg", "--grid-preset", "thin",
+             "--fold-count", "3", "--train-fraction", "0.5", "--seed", "3",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads((out / "report.json").read_text())
+        doc.pop("generated_at")
+        assert doc["route"] == "multiclass_hierarchical"
+        bodies.append(json.dumps(doc))  # a string keeps key order in the comparison
+    assert bodies[0] == bodies[1]
