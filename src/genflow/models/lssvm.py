@@ -169,13 +169,21 @@ def _dual_coefficients(rows: list[np.ndarray], y: np.ndarray) -> tuple[np.ndarra
 def _kernel_times(Q: np.ndarray, S: np.ndarray, gamma: float, w: np.ndarray) -> np.ndarray:
     """``rbf_kernel(Q, S, gamma) @ w``, computed over ``ROW_BLOCK``-row
     chunks of Q through one slab of at most ROW_BLOCK x len(S); the squared
-    norms of S are summed once for every chunk."""
-    f = np.empty(len(Q))
-    slab = np.empty((min(ROW_BLOCK, len(Q)), len(S)))
+    norms of S are summed once for every chunk.
+
+    No chunk is a single row unless Q is: NumPy sends a one-row product to
+    GEMV, whose sums can differ from GEMM's in the last bits, and with wide
+    rows and a large gamma the kernel amplifies that to 1e-10 relative.  A
+    lone last row takes one row from the chunk before it instead."""
+    m = len(Q)
+    f = np.empty(m)
+    slab = np.empty((min(ROW_BLOCK, m), len(S)))
     s2 = np.sum(S * S, axis=1)
-    for i in range(0, len(Q), ROW_BLOCK):
-        q = Q[i:i + ROW_BLOCK]
-        np.matmul(rbf_kernel(q, S, gamma, out=slab[:len(q)], b2=s2), w, out=f[i:i + ROW_BLOCK])
+    cuts = list(range(0, m, ROW_BLOCK)) + [m]
+    if m > 1 and m % ROW_BLOCK == 1:
+        cuts[-2] -= 1
+    for i, j in zip(cuts, cuts[1:]):
+        np.matmul(rbf_kernel(Q[i:j], S, gamma, out=slab[:j - i], b2=s2), w, out=f[i:j])
     return f
 
 

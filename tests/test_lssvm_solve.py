@@ -171,9 +171,13 @@ class TestStreamedScoring:
     @given(inputs=dual_inputs(), gamma=st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
     def test_chunks_keep_the_kernel_bits(self, inputs, gamma):
         # The support's squared norms, summed once, are the kernel's own.
+        # A lone last row is scored with the row before it.
         X, _, Q = inputs
         w = np.random.default_rng(len(X)).normal(size=len(X))
-        f = [rbf_kernel(Q[i:i + ROW_BLOCK], X, gamma) @ w for i in range(0, len(Q), ROW_BLOCK)]
+        cuts = list(range(0, len(Q), ROW_BLOCK)) + [len(Q)]
+        if len(Q) > 1 and len(Q) % ROW_BLOCK == 1:
+            cuts[-2] -= 1
+        f = [rbf_kernel(Q[i:j], X, gamma) @ w for i, j in zip(cuts, cuts[1:])]
         assert same_bits(_kernel_times(Q, X, gamma, w), np.concatenate(f))
 
 
