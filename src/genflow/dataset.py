@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -107,19 +108,22 @@ def _dense_labels(raw: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     """Map raw label strings to dense ids, ordered by ascending raw value.
 
     Numeric-looking labels sort numerically so that e.g. raw labels
-    {2, 4} become ids {0, 1} in that order.
+    {2, 4} become ids {0, 1} in that order.  Other labels, and one that
+    parses to NaN, sort as text after every finite number.
     """
-    uniq = sorted(set(raw), key=lambda s: (float(s), s) if _is_number(s) else (math.inf, s))
+    uniq = sorted(set(raw), key=_label_key)
     mapping = {v: i for i, v in enumerate(uniq)}
     return np.array([mapping[v] for v in raw], dtype=int), tuple(uniq)
 
 
-def _is_number(s: str) -> bool:
+def _label_key(s: str) -> tuple[float, str]:
     try:
-        float(s)
-        return True
+        v = float(s)
     except ValueError:
-        return False
+        v = math.nan
+    # NaN compares false with everything, so it would leave the order to
+    # set iteration, which follows the string-hash seed.
+    return (math.inf if math.isnan(v) else v, s)
 
 
 def _records(fh, delimiter: str, path):
@@ -170,7 +174,9 @@ def load_dataset(path, label_column, na_policy: str = "fail",
             label_idx = header.index(label_column)
 
         feat_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-        rows, raw_labels, dropped = [], [], 0
+        # Each complete row is appended to one flat buffer of C doubles, which
+        # the feature matrix then wraps without a copy.
+        values, raw_labels, dropped = array("d"), [], 0
         for lineno, rec in enumerate(reader, start=2):
             if not rec or all(not c.strip() for c in rec):
                 continue
@@ -197,14 +203,14 @@ def load_dataset(path, label_column, na_policy: str = "fail",
                 dropped += 1
                 break
             else:
-                rows.append(vals)
+                values.extend(vals)
                 raw_labels.append(label)
 
     if len(set(raw_labels)) < 2:
         raise DataError(f"{path}: fewer than 2 distinct labels")
     labels, class_names = _dense_labels(raw_labels)
     data = Dataset(
-        features=np.array(rows, dtype=float),
+        features=np.frombuffer(values).reshape(len(raw_labels), len(feat_names)),
         labels=labels,
         feature_names=feat_names,
         class_names=class_names,

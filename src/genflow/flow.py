@@ -474,8 +474,9 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
         decision_trail=trail,
     )
 
-    # Every hierarchy level is binarized on both splits and has a training
-    # row per fold, and every task has a family to sweep, before any fit.
+    # Every hierarchy level is binarized on both splits, every task has two
+    # validation rows per fold (one row cannot be scored as a Dataset), and
+    # every task has a family to sweep, before any fit.
     levels = []
     if config.hierarchy is not None:
         config.hierarchy.validate_for(data.n_classes)
@@ -485,6 +486,13 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
         if config.fold_count > train_lv.n_samples:
             raise DataError(f"hierarchy level {name!r}: fold_count {config.fold_count} "
                             f"exceeds {train_lv.n_samples} training rows")
+    flat_name = "binary" if route == "binary" else "multiclass_flat"
+    for task, train in [(flat_name, split.train),
+                        *((f"hierarchy:{name}", train_lv) for name, train_lv, _ in levels)]:
+        if train.n_samples < 2 * config.fold_count:
+            raise DataError(f"task {task!r} has {train.n_samples} training rows; "
+                            f"fold_count {config.fold_count} needs at least "
+                            f"{2 * config.fold_count}, two validation rows per fold")
     flat_families, level_families = _route_families(config, route)
     if not flat_families:
         raise DataError(f"none of the families {list(config.candidate_families)} "
@@ -497,8 +505,7 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
                            - config.grids.keys()):
         raise DataError(f"no grid for the swept families {ungridded}")
 
-    flat = _run_task("binary" if route == "binary" else "multiclass_flat",
-                     split.train, flat_families, config, trail)
+    flat = _run_task(flat_name, split.train, flat_families, config, trail)
     level_tasks: list[TaskResult] = []
     hierarchy_cv = None
     if route != "binary":

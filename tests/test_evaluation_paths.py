@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genflow import (
     DataError,
@@ -194,6 +195,48 @@ class TestFoldCount:
         forbid_fits(monkeypatch)
         with pytest.raises(DataError, match="'level4'.*fold_count 25 exceeds 20 "):
             run_flow(make_imbalanced6(seed=0), hier_config(fold_count=25))
+
+    # fold_count <= n < 2 fold_count rows leave a one-row validation fold,
+    # which cannot be a Dataset, so every grid point of the task would fail.
+    def test_one_row_fold_in_a_level_refused_before_any_fit(self, monkeypatch):
+        forbid_fits(monkeypatch)
+        with pytest.raises(DataError, match="'hierarchy:level4' has 20 training rows; "
+                                            "fold_count 12 needs at least 24"):
+            run_flow(make_imbalanced6(seed=0), hier_config(fold_count=12))
+
+    def test_one_row_fold_in_the_flat_task_exit_2_before_any_fit(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        forbid_fits(monkeypatch)
+        rng = np.random.default_rng(0)
+        data = tmp_path / "small.csv"
+        np.savetxt(data, np.column_stack([rng.normal(size=(24, 3)), np.arange(24) % 2]),
+                   fmt=["%.6f"] * 3 + ["%d"], delimiter=",", comments="",
+                   header="f0,f1,f2,label")
+        assert main(["--data", str(data), "--label-col", "label",
+                     "--families", "logreg,lssvm", "--grid-preset", "thin",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert ("task 'binary' has 8 training rows; fold_count 5 needs at least 10"
+                in capsys.readouterr().err)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(4, 80), fold_count=st.integers(2, 20),
+           seed=st.integers(0, 2**16), positional=st.booleans())
+    def test_every_fold_scores_or_the_run_is_refused(self, rows, fold_count, seed,
+                                                     positional):
+        data = Dataset(np.arange(rows, dtype=float)[:, None], np.arange(rows) % 2,
+                       ("x",), ("a", "b"))
+        train = stratified_split(data, seed=seed).train
+        if train.n_samples >= 2 * fold_count:
+            plan = make_interleaved_folds(train, fold_count, seed, positional=positional)
+            for _, val_rows in plan.folds():
+                assert train.restrict_rows(val_rows).n_samples >= 2
+            return
+        config = fast_config(fold_count=fold_count, seed=seed, folds_positional=positional)
+        with pytest.MonkeyPatch.context() as mp:
+            forbid_fits(mp)
+            with pytest.raises(DataError, match=f"has {train.n_samples} training rows; "
+                                                f"fold_count {fold_count} needs at least"):
+                run_flow(data, config)
 
 
 class TestNames:
