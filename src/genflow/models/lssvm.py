@@ -17,13 +17,19 @@ Memory: only the lower triangle of K + lam I is stored, as block rows of
 ``BLOCK`` rows in one flat buffer (block row k holds rows i_k:j_k,
 columns 0:j_k), about n(n + BLOCK)/2 words; the Cholesky factor overwrites
 it block row by block row, each diagonal block by its inverse, through one
-BLOCK x BLOCK scratch.  Scoring m rows computes the kernel over
-``ROW_BLOCK``-row chunks through one ROW_BLOCK x n slab, so no m x n
-kernel is ever whole.  ``peak_bytes`` is the estimate; ``run_flow``
-refuses a job whose estimate exceeds physical memory (CLI exit 2).
+BLOCK x BLOCK scratch per lane.  When BLAS runs one thread the block rows
+are factored on two lanes, the calling thread and one helper, with the
+bits of one lane.  Scoring m rows computes the kernel over
+``ROW_BLOCK``-row chunks through one slab of at most ROW_BLOCK + 1 rows of
+n, so no m x n kernel is ever whole.  ``peak_bytes`` is the estimate;
+``run_flow`` refuses a job whose estimate exceeds physical memory (CLI
+exit 2).
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -105,6 +111,18 @@ def _lower_inverse(L: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lane_count(block_rows: int) -> int:
+    """Two factor lanes when BLAS runs one thread (the variable OpenBLAS
+    reads, ``OPENBLAS_NUM_THREADS`` then ``OMP_NUM_THREADS``, is 1), the
+    process may run on at least two CPUs and the system has more than one
+    block row; else one.  Two lanes over a two-thread BLAS oversubscribe
+    two cores: a 4565-row factor took 0.774 s against one lane's 0.553 s
+    (2 vCPUs, OpenBLAS 0.3.31)."""
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return 2 if blas == "1" and (cpus or 1) >= 2 and block_rows > 1 else 1
+
+
 def _factor_in_place(rows: list[np.ndarray]) -> None:
     """Overwrite the packed block rows of the SPD matrix H with those of its
     Cholesky factor L (H = L L'), up-looking, except that each diagonal
@@ -116,24 +134,66 @@ def _factor_in_place(rows: list[np.ndarray]) -> None:
     m becomes (H_km - L_k,<m L_m,<m') inv(L_mm)'; then the diagonal block
     takes the product L_k,<k L_k,<k' off, is factored by
     ``np.linalg.cholesky`` and is overwritten whole by its inverse, with
-    zeros above.  Every product and inverse goes through one BLOCK x BLOCK
-    scratch, so a fit allocates no temporary per block."""
+    zeros above.
+
+    Block row k waits for block row m to be finished before it updates
+    block m, and for nothing else, so the block rows are dealt out to the
+    ``_lane_count`` lanes: the calling thread takes rows 0, lanes,
+    2 lanes, ... and a helper thread per other lane the rest.  Every lane
+    makes the same calls on the same operands through its own
+    BLOCK x BLOCK scratch, so the factor has the bits of one lane, and a
+    fit allocates no temporary per block.  The helpers are joined before
+    this returns or raises."""
+    lanes = _lane_count(len(rows))
+    finished = [threading.Event() for _ in rows]
+    failures: list[BaseException] = []
+    helpers = [threading.Thread(target=_factor_lane, name=f"lssvm-factor-{lane}",
+                                args=(rows, finished, failures, lane, lanes))
+               for lane in range(1, lanes)]
+    for helper in helpers:
+        helper.start()
+    try:
+        _factor_lane(rows, finished, failures, 0, lanes)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[0]
+
+
+def _factor_lane(rows: list[np.ndarray], finished: list[threading.Event],
+                 failures: list[BaseException], lane: int, lanes: int) -> None:
+    """Factor block rows lane, lane + lanes, ... in order (see
+    ``_factor_in_place``), setting each one's event in ``finished`` once it
+    is final.  A failure is appended to ``failures`` and sets every event,
+    so a lane waiting for a row wakes, sees it and stops; the caller
+    raises it."""
     b0 = rows[0].shape[0]  # no block is larger than the first
     scratch = np.empty(b0 * b0)
-    for k, R in enumerate(rows):
-        b, j = R.shape
-        for Rm in rows[:k]:  # the finished block rows
-            bm, jm = Rm.shape
-            im = jm - bm
-            T = scratch[:b * bm].reshape(b, bm)
-            S = R[:, im:jm]
-            S -= np.matmul(R[:, :im], Rm[:, :im].T, out=T)
-            S[...] = np.matmul(S, Rm[:, im:].T, out=T)
-        i = j - b
-        D = R[:, i:]
-        T = scratch[:b * b].reshape(b, b)
-        D -= np.matmul(R[:, :i], R[:, :i].T, out=T)
-        D[...] = _lower_inverse(np.linalg.cholesky(D), T)
+    try:
+        for k in range(lane, len(rows), lanes):
+            R = rows[k]
+            b, j = R.shape
+            for m, Rm in enumerate(rows[:k]):
+                finished[m].wait()
+                if failures:
+                    return
+                bm, jm = Rm.shape
+                im = jm - bm
+                T = scratch[:b * bm].reshape(b, bm)
+                S = R[:, im:jm]
+                S -= np.matmul(R[:, :im], Rm[:, :im].T, out=T)
+                S[...] = np.matmul(S, Rm[:, im:].T, out=T)
+            i = j - b
+            D = R[:, i:]
+            T = scratch[:b * b].reshape(b, b)
+            D -= np.matmul(R[:, :i], R[:, :i].T, out=T)
+            D[...] = _lower_inverse(np.linalg.cholesky(D), T)
+            finished[k].set()
+    except BaseException as exc:  # an interrupt too: the caller re-raises it
+        failures.append(exc)
+        for event in finished:
+            event.set()
 
 
 def _solve_in_place(rows: list[np.ndarray], X: np.ndarray) -> np.ndarray:
@@ -168,20 +228,23 @@ def _dual_coefficients(rows: list[np.ndarray], y: np.ndarray) -> tuple[np.ndarra
 
 def _kernel_times(Q: np.ndarray, S: np.ndarray, gamma: float, w: np.ndarray) -> np.ndarray:
     """``rbf_kernel(Q, S, gamma) @ w``, computed over ``ROW_BLOCK``-row
-    chunks of Q through one slab of at most ROW_BLOCK x len(S); the squared
-    norms of S are summed once for every chunk.
+    chunks of Q through one slab of at most (ROW_BLOCK + 1) x len(S); the
+    squared norms of S are summed once for every chunk.
 
     No chunk is a single row unless Q is: NumPy sends a one-row product to
     GEMV, whose sums can differ from GEMM's in the last bits, and with wide
     rows and a large gamma the kernel amplifies that to 1e-10 relative.  A
-    lone last row takes one row from the chunk before it instead."""
+    lone last row joins the chunk before it instead, so every other chunk
+    keeps the rows, and the places in them, that a product over the whole
+    of Q would give it; with one support row every product is a GEMV, whose
+    sums depend on a row's place in it (3e-12 in a decision value)."""
     m = len(Q)
-    f = np.empty(m)
-    slab = np.empty((min(ROW_BLOCK, m), len(S)))
-    s2 = np.sum(S * S, axis=1)
     cuts = list(range(0, m, ROW_BLOCK)) + [m]
     if m > 1 and m % ROW_BLOCK == 1:
-        cuts[-2] -= 1
+        del cuts[-2]
+    f = np.empty(m)
+    slab = np.empty((min(ROW_BLOCK + 1, m), len(S)))
+    s2 = np.sum(S * S, axis=1)
     for i, j in zip(cuts, cuts[1:]):
         np.matmul(rbf_kernel(Q[i:j], S, gamma, out=slab[:j - i], b2=s2), w, out=f[i:j])
     return f
@@ -190,11 +253,14 @@ def _kernel_times(Q: np.ndarray, S: np.ndarray, gamma: float, w: np.ndarray) -> 
 def peak_bytes(n_fit: int) -> int:
     """Bytes held at the peak of an LS-SVM fit on ``n_fit`` rows, beside
     the rows themselves: the packed system, the kernel's ROW_BLOCK x n_fit
-    scratch while it is built, and the factor's BLOCK x BLOCK scratch with
-    ``np.linalg.cholesky``'s two copies of a diagonal block.  Scoring
-    against the fit rows holds two ROW_BLOCK x n_fit buffers, the slab and
-    the kernel's scratch, and no packed system, so this bounds it too."""
-    return 8 * (_packed_words(n_fit) + ROW_BLOCK * n_fit + 3 * min(n_fit, BLOCK) ** 2)
+    scratch while it is built, and four BLOCK x BLOCK blocks while it is
+    factored: the scratch of each of two lanes, and ``np.linalg.cholesky``'s
+    two copies of a diagonal block in one lane (a lane reaches its diagonal
+    block only once the other has finished the one before).  One lane holds
+    less.  Scoring against the fit rows holds two buffers of about
+    ROW_BLOCK x n_fit, the slab and the kernel's scratch, and no packed
+    system, so this bounds it too."""
+    return 8 * (_packed_words(n_fit) + ROW_BLOCK * n_fit + 4 * min(n_fit, BLOCK) ** 2)
 
 
 class LssvmModel(TrainedModel):

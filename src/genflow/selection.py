@@ -124,11 +124,21 @@ def cv_accuracy(spec: ModelSpec, train: Dataset, folds: FoldPlan
 _FIT_FAILURES = (ModelError, DataError, np.linalg.LinAlgError, FloatingPointError)
 
 
+def _refuse_one_row_folds(folds: FoldPlan) -> None:
+    """A one-row validation fold cannot be scored as a Dataset, so every
+    fit of a sweep over it would fail: refuse the plan before any fit."""
+    for k, (_, val_rows) in enumerate(folds.folds()):
+        if len(val_rows) < 2:
+            raise DataError(f"validation fold {k} holds one row, {val_rows.tolist()}; "
+                            "every fold needs at least 2 rows")
+
+
 def sweep_parameters(family: str, grid: dict[str, list], train: Dataset,
                      folds: FoldPlan, seed: int = 0) -> SweepResult:
     """Exhaustive Cartesian sweep; best point by mean validation accuracy."""
     if not grid or any(len(values) == 0 for values in grid.values()):
         raise DataError("empty hyperparameter grid")
+    _refuse_one_row_folds(folds)
     table, specs = [], []
     for values in itertools.product(*grid.values()):
         point = dict(zip(grid, values))
@@ -158,6 +168,7 @@ def dimensionality_sweep(best_spec: ModelSpec, train: Dataset, folds: FoldPlan,
     labels are kept.  A prefix seen for an earlier method reuses that
     accuracy and cannot win: the tie rule prefers the earlier method.
     """
+    _refuse_one_row_folds(folds)
     d = train.n_features
     prefix_acc: dict[tuple[int, ...], float] = {}
     points = []  # (acc, k, method position, out-of-fold labels), one per prefix

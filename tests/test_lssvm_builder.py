@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from genflow import DataError, Dataset, FlowConfig, HierarchyLevel, HierarchySpec, flow, run_flow
 from genflow.cli import main
-from genflow.models import ModelSpec, fit_model
+from genflow.models import ModelSpec, fit_model, lssvm
 from genflow.models.lssvm import (BLOCK, ROW_BLOCK, LssvmModel, _packed_system, _packed_words,
                                   peak_bytes, rbf_kernel)
 from tests import lssvm_reference as ref
@@ -147,7 +147,8 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def traced_fit_peak(n):
+def traced_fit_peak(n, lanes, monkeypatch):
+    monkeypatch.setattr(lssvm, "_lane_count", lambda block_rows: lanes)
     rng = np.random.default_rng(1)
     ds = Dataset(rng.normal(size=(n, 10)), (rng.random(n) < 0.4).astype(int),
                  tuple(f"f{i}" for i in range(10)), ("neg", "pos"))
@@ -161,14 +162,16 @@ class TestPeakMemory:
         Q, X = rng.normal(size=(m, 10)), rng.normal(size=(n, 10))
         assert traced_peak(rbf_kernel, Q, X, 0.1) <= 2.1 * m * n * 8
 
-    def test_fit_within_peak_bytes(self):
-        assert traced_fit_peak(1500) <= peak_bytes(1500)
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_fit_within_peak_bytes(self, monkeypatch, lanes):
+        assert traced_fit_peak(1500, lanes, monkeypatch) <= peak_bytes(1500)
 
-    def test_fit_allocates_no_block_row_temporary(self):
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_fit_allocates_no_block_row_temporary(self, monkeypatch, lanes):
         # The diagonal blocks' inverses take their blocks' place, so nothing
         # held beside the packed system is as large as BLOCK x n.
         n = 1500
-        assert traced_fit_peak(n) - 8 * _packed_words(n) < 8 * BLOCK * n
+        assert traced_fit_peak(n, lanes, monkeypatch) - 8 * _packed_words(n) < 8 * BLOCK * n
 
     def test_scoring_peak_independent_of_m(self):
         n, d = 1500, 10
@@ -237,7 +240,7 @@ class TestOversizedKernelRefused:
         # the telescope split at the default --train-fraction 0.3 and at 0.7
         blocks = [(i, min(i + BLOCK, n_train)) for i in range(0, n_train, BLOCK)]
         estimate = 8 * (sum((j - i) * j for i, j in blocks) + ROW_BLOCK * n_train
-                        + 3 * BLOCK * BLOCK)
+                        + 4 * BLOCK * BLOCK)
         assert peak_bytes(n_train) == estimate
         assert round(estimate / 2**30, 2) == gib
         config = FlowConfig(candidate_families=("lssvm",))

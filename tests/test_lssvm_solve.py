@@ -5,18 +5,26 @@ dense bordered solve in ``tests/lssvm_reference.py`` and decision values of
 the same sign, across the block edges; it must keep the bits of the signed
 packed fit and of the fit with separate block inverses that it replaced;
 scoring by row chunks must match the whole kernel;
-a matrix that is not positive definite is a typed fit failure."""
+a matrix that is not positive definite is a typed fit failure.  The factor
+on two lanes must keep the bits of one lane, and a failure in either lane
+must reach the caller with no thread left behind."""
 
 import json
+import os
+import sys
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from genflow.cli import main
-from genflow.models import ModelSpec, lssvm
+from genflow.dataset import Dataset
+from genflow.models import ModelSpec, fit_model, lssvm
 from genflow.models.lssvm import (BLOCK, ROW_BLOCK, LssvmModel, _dual_coefficients,
-                                  _kernel_times, _packed_system, rbf_kernel)
+                                  _factor_in_place, _kernel_times, _lane_count, _packed_system,
+                                  _solve_in_place, rbf_kernel)
 from tests import lssvm_reference as ref
 from tests.test_lssvm_builder import dual_inputs, lower_triangle, same_bits
 from tests.test_report_cli import write_toy_csv
@@ -167,18 +175,150 @@ class TestStreamedScoring:
         decided = np.abs(f_whole) > 1e-9
         assert (np.sign(f[decided]) == np.sign(f_whole[decided])).all()
 
+    @pytest.mark.parametrize("m", [ROW_BLOCK + 1, 8 * ROW_BLOCK + 1])
+    def test_one_support_row_and_a_lone_last_row(self, m):
+        # With one support row every product is a GEMV, whose sums depend on
+        # a row's place in it, and wide rows with gamma = 10 amplify that.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(1, 9)) * 30.0
+        w = rng.normal(size=1)
+        Q = X[np.zeros(m, dtype=int)] + rng.normal(size=(m, 9)) * rng.random((m, 1))
+        np.testing.assert_allclose(_kernel_times(Q, X, 10.0, w), rbf_kernel(Q, X, 10.0) @ w,
+                                   rtol=1e-12, atol=1e-12 * np.abs(w).sum())
+
     @settings(max_examples=60, deadline=None)
     @given(inputs=dual_inputs(), gamma=st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
     def test_chunks_keep_the_kernel_bits(self, inputs, gamma):
         # The support's squared norms, summed once, are the kernel's own.
-        # A lone last row is scored with the row before it.
+        # A lone last row joins the chunk before it.
         X, _, Q = inputs
         w = np.random.default_rng(len(X)).normal(size=len(X))
         cuts = list(range(0, len(Q), ROW_BLOCK)) + [len(Q)]
         if len(Q) > 1 and len(Q) % ROW_BLOCK == 1:
-            cuts[-2] -= 1
+            del cuts[-2]
         f = [rbf_kernel(Q[i:j], X, gamma) @ w for i, j in zip(cuts, cuts[1:])]
         assert same_bits(_kernel_times(Q, X, gamma, w), np.concatenate(f))
+
+
+@contextmanager
+def lanes_forced(lanes):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lssvm, "_lane_count", lambda block_rows: lanes)
+        yield
+
+
+class TestFactorLanes:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.one_of(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                        2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1]),
+                       st.integers(2, 1300)),
+           gamma=st.sampled_from([0.01, 0.1, 1.0]), lam=st.sampled_from([1e-6, 1e-3, 1e-1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_two_lanes_keep_the_bits_of_one(self, n, gamma, lam, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 6)) * rng.choice([0.1, 1.0, 30.0])
+        y = np.where(rng.random(n) < 0.4, -1.0, 1.0)
+        rhs = np.column_stack([np.ones(n), y])
+        factors, solutions = [], []
+        for lanes in (1, 2):
+            rows = _packed_system(X, gamma, lam)
+            with lanes_forced(lanes):
+                _factor_in_place(rows)
+            factors.append(rows)
+            solutions.append(_solve_in_place(rows, rhs.copy()))
+        assert all(same_bits(a, b) for a, b in zip(*factors))
+        assert same_bits(*solutions)
+        if n == 1:  # a Dataset holds at least two rows
+            return
+        train = Dataset(X, (y > 0).astype(int), tuple(f"f{i}" for i in range(6)),
+                        ("neg", "pos"))
+        spec = ModelSpec("lssvm", {"lambda": lam, "kernel_gamma": gamma})
+        with lanes_forced(1):
+            one = fit_model(spec, train)
+        with lanes_forced(2):
+            two = fit_model(spec, train)
+        assert same_bits(one.coef, two.coef)
+        assert one.bias.hex() == two.bias.hex()
+
+    def test_more_lanes_than_cores_under_fast_switching(self):
+        # Lanes hand block rows over through their events alone: with a
+        # thread switch every microsecond, a row read before it is final
+        # would change the bits.
+        X = np.random.default_rng(11).normal(size=(6 * BLOCK + 7, 5))
+        factors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for lanes in (1, 4):
+                rows = _packed_system(X, 0.3, 1e-6)
+                with lanes_forced(lanes):
+                    _factor_in_place(rows)
+                factors.append(rows)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(same_bits(a, b) for a, b in zip(*factors))
+
+    @pytest.mark.parametrize("bad_row", [0, 1, 2, 3])  # lane 0 takes even rows, lane 1 odd
+    def test_failure_in_either_lane_is_raised(self, monkeypatch, bad_row):
+        n = 4 * BLOCK
+        rows = _packed_system(np.random.default_rng(7).normal(size=(n, 3)), 0.5, 1e-3)
+        R = rows[bad_row]
+        b, j = R.shape
+        R.reshape(-1)[j - b::j + 1] -= 10.0 * n  # rows above stay positive definite
+        monkeypatch.setattr(lssvm, "_lane_count", lambda block_rows: 2)
+        threads = threading.active_count()
+        raised = []
+
+        def factor():
+            try:
+                _factor_in_place(rows)
+            except np.linalg.LinAlgError as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=factor, daemon=True)  # a hang fails, not stalls, the run
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(raised) == 1
+        assert threading.active_count() == threads
+
+
+class TestLaneCount:
+    @pytest.mark.parametrize("env, cpus, block_rows, lanes", [
+        ({}, 2, 3, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 3, 2),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 3, 1),
+        ({"OMP_NUM_THREADS": "1"}, 2, 3, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 3, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 3, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1, 1),
+    ])
+    def test_two_lanes_only_under_one_blas_thread(self, monkeypatch, env, cpus, block_rows,
+                                                  lanes):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert _lane_count(block_rows) == lanes
+
+    @pytest.mark.parametrize("n, threads", [(BLOCK, 1), (2 * BLOCK + 1, 2)])
+    def test_fit_factors_on_the_chosen_lanes(self, monkeypatch, n, threads):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        seen = set()
+        real = lssvm._factor_lane
+
+        def factor_lane(*args):
+            seen.add(threading.get_ident())
+            real(*args)
+
+        monkeypatch.setattr(lssvm, "_factor_lane", factor_lane)
+        rng = np.random.default_rng(n)
+        train = Dataset(rng.normal(size=(n, 4)), (rng.random(n) < 0.5).astype(int),
+                        ("a", "b", "c", "d"), ("neg", "pos"))
+        fit_model(ModelSpec("lssvm", {"kernel_gamma": 0.1}), train)
+        assert len(seen) == threads
 
 
 def test_failed_factor_is_a_failed_grid_point(tmp_path, monkeypatch):

@@ -10,12 +10,14 @@ from genflow import (
     fisher_score,
     make_interleaved_folds,
     mutual_information,
+    select_best_model,
     sweep_parameters,
 )
 from genflow import models
 from genflow.models import ModelError
 from genflow.selection import cv_accuracy
 from tests.conftest import make_binary
+from tests.test_evaluation_paths import forbid_fits
 
 
 class TestFoldPlan:
@@ -71,6 +73,25 @@ class TestFoldPlan:
         assert len(sizes) == fold_count
         assert (validated == 1).all()
         assert max(sizes) - min(sizes) <= 1
+
+
+class TestOneRowFolds:
+    """fold_count <= n < 2 fold_count rows leave a one-row validation fold,
+    which cannot be scored as a Dataset: every sweep refuses such a plan
+    before any fit, whoever built it."""
+
+    @pytest.mark.parametrize("sweep", [
+        lambda ds, plan: sweep_parameters("logreg", {"l2": [1e-6]}, ds, plan),
+        lambda ds, plan: select_best_model(["logreg"], ds, plan, {"logreg": {"l2": [1e-6]}}),
+        lambda ds, plan: dimensionality_sweep(ModelSpec("logreg", {}), ds, plan,
+                                              [fisher_score(ds)]),
+    ], ids=["sweep_parameters", "select_best_model", "dimensionality_sweep"])
+    def test_refused_before_any_fit(self, monkeypatch, sweep):
+        forbid_fits(monkeypatch)
+        ds = make_binary(n=7)
+        plan = make_interleaved_folds(ds, 5, positional=True)  # folds 2-4 hold one row
+        with pytest.raises(DataError, match=r"validation fold 2 holds one row, \[2\]"):
+            sweep(ds, plan)
 
 
 class TestSweep:
