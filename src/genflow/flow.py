@@ -5,11 +5,12 @@ and assemble the final report structure.
 
 Each task (the flat run or one hierarchy level) takes one path: family
 sweep, one ranking pass, dimensionality sweep, whose winning fits give the
-out-of-fold metrics.  Hierarchy levels are binarized on both splits before
-any fit (an empty or one-sided level, or one with fewer training rows than
-folds, is a DataError) and scored from there; a task that no requested
-family applies to, or a swept family with no grid in the config, is a
-DataError at the same point.
+out-of-fold metrics.  One list of tasks, each with its training and test
+split, drives the flow from the refusals to final scoring.  Hierarchy levels
+are binarized on both splits before any fit (an empty or one-sided level is
+a DataError); a task with fewer than two training rows per fold, a task
+that no requested family applies to, or a swept family with no grid in the
+config is a DataError at the same point.
 
 Decision 3 (flat vs hierarchical) is evaluated on out-of-fold training
 predictions so that the test split influences nothing before the final
@@ -288,15 +289,14 @@ def select_best_model(candidates, train: Dataset, folds: FoldPlan, grids,
 
 def _route_families(config: FlowConfig, route: str) -> tuple[list[str], list[str]]:
     """The families swept on the flat task and on each hierarchy level: the
-    requested ones that apply (all of the route's defaults if none were
-    requested).  A binary route's flat task is swept like a level."""
-    def applicable(default: tuple, extra: tuple = ()) -> list[str]:
-        return [f for f in config.candidate_families or default if f in default + extra]
-
-    levels = applicable(BINARY_FAMILIES)
-    if route == "binary":
-        return levels, levels
-    return applicable(MULTICLASS_FAMILIES, ("ova_logreg",)), levels
+    requested ones that apply, else the route's defaults, in order.  A level
+    and a binary route's flat task take those in ``BINARY_FAMILIES``; a
+    multi-class flat task takes any family whose record is not
+    ``binary_only``."""
+    requested = config.candidate_families
+    levels = [f for f in requested or BINARY_FAMILIES if f in BINARY_FAMILIES]
+    flat = [f for f in requested or MULTICLASS_FAMILIES if not FAMILIES[f].binary_only]
+    return (levels if route == "binary" else flat), levels
 
 
 def _run_task(name: str, train: Dataset, candidates, config: FlowConfig,
@@ -380,14 +380,8 @@ def combine_level_metrics(per_level: list[EvalMetrics]) -> dict:
     """
     if not per_level:
         raise DataError("no hierarchy levels to combine")
-    acc = [m.accuracy[1] for m in per_level]
-    prec = [m.precision[1] for m in per_level]
-    rec = [m.recall[1] for m in per_level]
-    return {
-        "accuracy": float(np.mean(acc)),
-        "precision": float(np.mean(prec)),
-        "recall": float(np.mean(rec)),
-    }
+    return {name: float(np.mean([getattr(m, name)[1] for m in per_level]))
+            for name in ("accuracy", "precision", "recall")}
 
 
 def _decision3_value(metrics: EvalMetrics, metric: str) -> float:
@@ -474,64 +468,55 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
         decision_trail=trail,
     )
 
-    # Every hierarchy level is binarized on both splits, every task has two
-    # validation rows per fold (one row cannot be scored as a Dataset), and
-    # every task has a family to sweep, before any fit.
-    levels = []
+    # One (name, train, test) per task: the flat task, then each level
+    # binarized on both splits.  Before any fit, every task has two validation
+    # rows per fold (one row cannot be a Dataset) and a family to sweep.
+    flat_name = "binary" if route == "binary" else "multiclass_flat"
+    tasks = [(flat_name, split.train, split.test)]
     if config.hierarchy is not None:
         config.hierarchy.validate_for(data.n_classes)
-        levels = [(lv.name, _binarize_level(split.train, lv),
+        tasks += [(f"hierarchy:{lv.name}", _binarize_level(split.train, lv),
                    _binarize_level(split.test, lv)) for lv in config.hierarchy.levels]
-    for name, train_lv, _ in levels:
-        if config.fold_count > train_lv.n_samples:
-            raise DataError(f"hierarchy level {name!r}: fold_count {config.fold_count} "
-                            f"exceeds {train_lv.n_samples} training rows")
-    flat_name = "binary" if route == "binary" else "multiclass_flat"
-    for task, train in [(flat_name, split.train),
-                        *((f"hierarchy:{name}", train_lv) for name, train_lv, _ in levels)]:
+    for name, train, _ in tasks[1:]:
+        if config.fold_count > train.n_samples:
+            raise DataError(f"hierarchy level {name.removeprefix('hierarchy:')!r}: fold_count "
+                            f"{config.fold_count} exceeds {train.n_samples} training rows")
+    for name, train, _ in tasks:
         if train.n_samples < 2 * config.fold_count:
-            raise DataError(f"task {task!r} has {train.n_samples} training rows; "
+            raise DataError(f"task {name!r} has {train.n_samples} training rows; "
                             f"fold_count {config.fold_count} needs at least "
                             f"{2 * config.fold_count}, two validation rows per fold")
     flat_families, level_families = _route_families(config, route)
     if not flat_families:
         raise DataError(f"none of the families {list(config.candidate_families)} "
                         f"applies to the {route} route")
-    sweeps_levels = config.hierarchy is not None and route != "binary"
-    if sweeps_levels and not level_families:
+    if config.hierarchy is not None and not level_families:
         raise DataError(f"none of the families {list(config.candidate_families)} "
                         "applies to the binary hierarchy levels")
-    if ungridded := sorted({*flat_families, *(level_families if sweeps_levels else ())}
+    if ungridded := sorted({*flat_families, *(level_families if config.hierarchy else ())}
                            - config.grids.keys()):
         raise DataError(f"no grid for the swept families {ungridded}")
 
-    flat = _run_task(flat_name, split.train, flat_families, config, trail)
-    level_tasks: list[TaskResult] = []
-    hierarchy_cv = None
+    report.flat = _run_task(flat_name, split.train, flat_families, config, trail)
     if route != "binary":
-        baseline = randomized_recall(split.train.class_counts())
-        report.baseline = baseline
-        flat_value = _decision3_value(flat.cv_metrics, config.decision3_metric)
-        if flat_value < baseline and config.hierarchy is not None:
+        report.baseline = randomized_recall(split.train.class_counts())
+        flat_value = _decision3_value(report.flat.cv_metrics, config.decision3_metric)
+        if flat_value < report.baseline and config.hierarchy is not None:
             # Each level trains on its ground-truth subset; predictions never
             # cascade between levels.
-            level_tasks = [_run_task(f"hierarchy:{name}", train_lv, level_families,
-                                     config, trail) for name, train_lv, _ in levels]
-            hierarchy_cv = combine_level_metrics([t.cv_metrics for t in level_tasks])
-        route, detail = decision_hierarchy(flat.cv_metrics, baseline,
-                                           hierarchy_cv, config.decision3_metric)
+            report.levels = [_run_task(name, train, level_families, config, trail)
+                             for name, train, _ in tasks[1:]]
+            report.combined_cv = combine_level_metrics([t.cv_metrics for t in report.levels])
+        report.route, detail = decision_hierarchy(report.flat.cv_metrics, report.baseline,
+                                                  report.combined_cv, config.decision3_metric)
         trail.append({"stage": "decision3", "inputs": {}, "outcome": detail})
         if "advisory" in detail:
             report.advisories.append(detail["advisory"])
-        report.route = route
+        if report.route == "multiclass_flat":  # the levels only informed Decision 3
+            report.levels, report.combined_cv = [], None
 
     # Final scoring of the chosen route (first stage that reads test data).
-    report.flat = flat
-    if route == "multiclass_hierarchical":
-        report.levels = level_tasks
-        report.combined_cv = hierarchy_cv
-    splits = [(split.train, split.test)] + [(tr, te) for _, tr, te in levels]
-    for task, (train, test) in zip(report.tasks(), splits):
+    for task, (_, train, test) in zip(report.tasks(), tasks):
         _final_score(task, train, test)
         if task.roc is not None and not task.roc.roc:
             report.advisories.append(

@@ -92,13 +92,6 @@ def confusion_counts(true_labels, predicted_labels, n_classes: int | None = None
     return ConfusionCounts(m.reshape(n_classes, n_classes))
 
 
-def _safe_div(num: float, den: float, flags: list[str], what: str) -> float:
-    if den == 0:
-        flags.append(f"degenerate denominator: {what}")
-        return 0.0
-    return num / den
-
-
 def averaged_metrics(counts: ConfusionCounts) -> EvalMetrics:
     """Per-class one-vs-rest metrics plus their micro/macro averages.
 
@@ -106,16 +99,16 @@ def averaged_metrics(counts: ConfusionCounts) -> EvalMetrics:
     """
     C = counts.n_classes
     N = counts.total
-    flags: list[str] = []
-    prec = np.zeros(C)
-    rec = np.zeros(C)
-    acc = np.zeros(C)
-    n_i = counts.matrix.sum(axis=1).astype(float)
-    for i in range(C):
-        tp, fp, fn, tn = counts.one_vs_rest(i)
-        prec[i] = _safe_div(tp, tp + fp, flags, f"precision class {i}")
-        rec[i] = _safe_div(tp, tp + fn, flags, f"recall class {i}")
-        acc[i] = _safe_div(tp + tn, N, flags, f"accuracy class {i}")
+    tp = np.diag(counts.matrix)
+    predicted = counts.matrix.sum(axis=0)  # tp + fp
+    n_i = counts.matrix.sum(axis=1)  # tp + fn
+    tn = N - predicted - n_i + tp
+    # One row per measure: a strided column would change the micro dots' bits.
+    num = np.array([tp, tp, tp + tn])
+    den = np.array([predicted, n_i, np.full(C, N)])
+    prec, rec, acc = np.divide(num, den, out=np.zeros((3, C)), where=den > 0)
+    flags = [f"degenerate denominator: {('precision', 'recall', 'accuracy')[k]} class {i}"
+             for i, k in np.argwhere(den.T == 0)]
     w = n_i / N if N else np.zeros(C)
     return EvalMetrics(
         precision=prec,

@@ -1,14 +1,15 @@
 """Classifier zoo with a uniform fit/score interface.
 
 Binary families: lssvm, logreg, boosted_tree, decision_forest,
-neural_net.  Multi-class families: multinomial_logreg, neural_net,
-decision_forest, ova_boosted_tree, ova_svm (plus ova_logreg for cheap
-pipelines).  Every fitted model scores a dataset into an N x C matrix
-whose rows sum to 1.
+neural_net.  Multi-class families: every family that is not
+``binary_only``: multinomial_logreg, neural_net, decision_forest and the
+one-vs-all ova_logreg, ova_boosted_tree and ova_svm.  Every fitted model
+scores a dataset into an N x C matrix whose rows sum to 1.
 
 ``FAMILIES`` holds one record per family: its model class, hyperparameter
 schema, complexity rank and both sweep grids.  ``BINARY_FAMILIES`` and
-``MULTICLASS_FAMILIES`` give each route's sweep order.
+``MULTICLASS_FAMILIES`` give each route's default sweep and its order;
+``MULTICLASS_FAMILIES`` leaves out ova_logreg, which must be requested.
 """
 
 from __future__ import annotations

@@ -19,9 +19,10 @@ from genflow import (
     select_best_model,
     stratified_split,
 )
-from genflow.models import FAMILIES
+from genflow import flow
+from genflow.models import BINARY_FAMILIES, FAMILIES, MULTICLASS_FAMILIES
 from genflow.report import report_body
-from tests.conftest import make_binary, make_multiclass
+from tests.conftest import make_binary, make_imbalanced6, make_multiclass
 
 FAST_GRIDS = {
     "logreg": {"l2": [1e-6]},
@@ -294,6 +295,26 @@ class TestRunFlowBinary:
         assert report_body(a) != report_body(b)
 
 
+class TestRouteFamilies:
+    """Which requested families each route sweeps on its flat task and on
+    the hierarchy levels."""
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_requested_family_kept_iff_it_applies(self, name):
+        config = FlowConfig(candidate_families=(name,))
+        flat, levels = flow._route_families(config, "multiclass")
+        assert flat == ([] if FAMILIES[name].binary_only else [name])
+        assert levels == ([name] if name in BINARY_FAMILIES else [])
+        assert flow._route_families(config, "binary") == (levels, levels)
+
+    def test_defaults_are_the_route_tuples_in_order(self):
+        config = FlowConfig()
+        assert flow._route_families(config, "multiclass") == (
+            list(MULTICLASS_FAMILIES), list(BINARY_FAMILIES))
+        assert flow._route_families(config, "binary") == (
+            list(BINARY_FAMILIES), list(BINARY_FAMILIES))
+
+
 class TestRunFlowMulticlass:
     def test_flat_route_reports_baseline(self):
         ds = make_multiclass(n=240, sep=4.0, seed=8)
@@ -307,6 +328,15 @@ class TestRunFlowMulticlass:
         assert report.flat.test_metrics.confusion.n_classes == 3
         d3 = next(t for t in report.decision_trail if t["stage"] == "decision3")
         assert d3["outcome"]["flat"] >= report.baseline
+
+    def test_below_baseline_without_hierarchy_advises(self):
+        report = run_flow(make_imbalanced6(n=600, seed=0),
+                          fast_config(candidate_families=("multinomial_logreg",)))
+        assert report.route == "multiclass_flat"
+        assert report.advisories == ["hierarchy recommended"]
+        assert report.decision_trail[-1]["outcome"]["reason"] == (
+            "flat below baseline but no hierarchy supplied")
+        assert report_body(report)["advisories"] == ["hierarchy recommended"]
 
     def test_no_leakage_trail_ignores_test_rows(self):
         # Replacing the features of every test-split row with noise must

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from genflow.cli import main
 from genflow.dataset import Dataset
@@ -155,11 +155,25 @@ class TestInPlaceInverseBits:
         check_reference_bits(X, y, rng.normal(size=(BLOCK + 45, 5)), 0.2, lam)
 
 
+def seeded_inputs(n, d, q, seed, scale=1.0):
+    """Inputs shaped like ``dual_inputs`` from one seed: n support rows
+    scaled by ``scale`` and q query rows, each of d features."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * scale
+    return X, np.ones(n), rng.normal(size=(q, d))
+
+
 class TestStreamedScoring:
+    # The explicit examples are lone-row cases: with one support row and
+    # gamma = 10, a one-row last chunk, or a 31-row chunk before a two-row
+    # one, moves these decision values over the bound or off the bits of
+    # the reference chunks (on an x86-64 OpenBLAS).
     @settings(max_examples=60, deadline=None)
     @given(inputs=dual_inputs(), gamma=st.sampled_from([1e-3, 0.1, 1.0, 10.0]),
            m=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1]),
            seed=st.integers(0, 2**32 - 1))
+    @example(inputs=seeded_inputs(1, 9, 1, seed=1009, scale=30.0), gamma=10.0,
+             m=2 * BLOCK + 1, seed=17)
     def test_matches_the_whole_kernel(self, inputs, gamma, m, seed):
         X, _, _ = inputs
         n, d = X.shape
@@ -188,6 +202,9 @@ class TestStreamedScoring:
 
     @settings(max_examples=60, deadline=None)
     @given(inputs=dual_inputs(), gamma=st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+    @example(inputs=seeded_inputs(1, 9, 1, seed=1009, scale=30.0), gamma=10.0)
+    @example(inputs=seeded_inputs(1, 9, ROW_BLOCK + 1, seed=22), gamma=10.0)
+    @example(inputs=seeded_inputs(1, 9, 2 * ROW_BLOCK + 1, seed=16), gamma=10.0)
     def test_chunks_keep_the_kernel_bits(self, inputs, gamma):
         # The support's squared norms, summed once, are the kernel's own.
         # A lone last row joins the chunk before it.

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from genflow import (
     ConfusionCounts,
@@ -9,6 +9,7 @@ from genflow import (
     randomized_recall,
     roc_and_auc,
 )
+from tests import metrics_reference as reference
 
 
 class TestConfusion:
@@ -78,6 +79,20 @@ def recount_oracle(matrix):
     return prec, rec, acc, micro, macro
 
 
+@st.composite
+def count_matrices(draw):
+    """C x C counts, C from 2 to 12, with some rows and columns zeroed
+    (a class never true, a class never predicted); high == 0 is the
+    all-zero matrix."""
+    C = draw(st.integers(2, 12))
+    high = draw(st.sampled_from([0, 1, 3, 50, 10**6]))
+    mat = np.array(draw(st.lists(st.integers(0, high), min_size=C * C,
+                                 max_size=C * C))).reshape(C, C)
+    mat[draw(st.lists(st.integers(0, C - 1), max_size=C)), :] = 0
+    mat[:, draw(st.lists(st.integers(0, C - 1), max_size=C))] = 0
+    return mat
+
+
 class TestAveragedMetrics:
     def test_perfect_multiclass(self):
         m = averaged_metrics(ConfusionCounts(np.diag([3, 4, 5])))
@@ -114,6 +129,24 @@ class TestAveragedMetrics:
         for attr in ("micro_precision", "micro_recall", "micro_accuracy",
                      "macro_precision", "macro_recall", "macro_accuracy"):
             assert getattr(a, attr) == pytest.approx(getattr(b, attr), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mat=count_matrices())
+    @example(mat=np.zeros((2, 2), dtype=int))
+    @example(mat=np.zeros((12, 12), dtype=int))
+    @example(mat=np.array([[0, 0, 0], [0, 0, 0], [4, 0, 1]]))
+    def test_bits_match_the_per_class_loop(self, mat):
+        got = averaged_metrics(ConfusionCounts(mat))
+        want = reference.averaged_metrics(ConfusionCounts(mat))
+        for name in ("precision", "recall", "accuracy"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        for name in ("micro_precision", "micro_recall", "micro_accuracy",
+                     "macro_precision", "macro_recall", "macro_accuracy",
+                     "overall_accuracy"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert type(a) is float and a.hex() == b.hex(), name
+        assert got.degenerate_flags == want.degenerate_flags
 
     def test_micro_recall_equals_overall_accuracy(self):
         # Micro-averaged one-vs-rest recall collapses to trace/total.
