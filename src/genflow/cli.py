@@ -101,11 +101,6 @@ def main(argv=None) -> int:
         nearest = next((p for p in (out, *out.parents) if p.exists()), out)
         if not nearest.is_dir():
             raise DataError(f"--out {args.out}: {nearest} is not a directory")
-    except DataError as exc:
-        print(f"genflow: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-
-    try:
         report = run_flow(data, config)
         emit_bundle(report, args.out)
     except (DataError, ModelError) as exc:

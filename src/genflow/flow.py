@@ -299,6 +299,12 @@ def _route_families(config: FlowConfig, route: str) -> tuple[list[str], list[str
     return (levels if route == "binary" else flat), levels
 
 
+def _swept_families(config: FlowConfig, route: str) -> set[str]:
+    """The families the run sweeps: the flat task's, plus the levels' with a hierarchy."""
+    flat, levels = _route_families(config, route)
+    return {*flat, *(levels if config.hierarchy else ())}
+
+
 def _run_task(name: str, train: Dataset, candidates, config: FlowConfig,
               trail: list[dict]) -> TaskResult:
     """Decision 2, one ranking pass and the dimensionality sweep for one
@@ -421,12 +427,12 @@ def _refuse_oversized(config: FlowConfig, route: str, n_train: int, n_classes: i
     split bounds every fold and hierarchy-level fit.  Its packed system
     holds about n_train (n_train + 256) / 2 words, and the test rows are
     scored in 32-row chunks, so the test split does not enter the estimate.
-    A binned ranker peaks in ``_mi_from_joint`` on a bin_count x C table
-    (bin_count x bin_count for mRMR): 17 bytes a cell, 16 for the counts and
-    ``p`` and one of slack, and about 32 a bin for marginals and edges."""
+    A binned ranker counts each feature into one float64 table at a time,
+    bin_count x C (bin_count x bin_count for mRMR's pairs), and peaks in
+    ``_mi`` at 17 bytes a cell (the counts, ``p`` and one of slack) plus about
+    32 a bin for marginals and edges; chi-squared's table and row sums stay below."""
     available = physical_memory_bytes()
-    flat, levels = _route_families(config, route)
-    kernel = {*flat, *(levels if config.hierarchy else ())} & {"lssvm", "ova_svm"}
+    kernel = _swept_families(config, route) & {"lssvm", "ova_svm"}
     if kernel and (estimate := lssvm_peak_bytes(n_train)) > available:
         raise DataError(
             f"the LS-SVM families need about {estimate / 2**30:.2f} GiB to fit "
@@ -493,8 +499,7 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
     if config.hierarchy is not None and not level_families:
         raise DataError(f"none of the families {list(config.candidate_families)} "
                         "applies to the binary hierarchy levels")
-    if ungridded := sorted({*flat_families, *(level_families if config.hierarchy else ())}
-                           - config.grids.keys()):
+    if ungridded := sorted(_swept_families(config, route) - config.grids.keys()):
         raise DataError(f"no grid for the swept families {ungridded}")
 
     report.flat = _run_task(flat_name, split.train, flat_families, config, trail)

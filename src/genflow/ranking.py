@@ -1,11 +1,11 @@
 """Filter-based feature scoring: Fisher score, mutual information,
 chi-squared, and greedy mRMR, plus top-k projection.
 
-All scores are computed from the training split only.  Mutual
-information and chi-squared operate on equal-width discretizations of
-each feature over its training range; the bin count is a parameter.
-Natural log is used throughout (base only rescales scores, never
-ranks).
+All scores are computed from the training split only.  The binned
+rankers (mutual information, chi-squared, mRMR) discretize each feature
+once into equal-width bins over its training range, count its (bin,
+label) or (bin, bin) pairs into one table and read their statistics from
+it.  Natural log is used throughout (base only rescales scores).
 """
 
 from __future__ import annotations
@@ -58,6 +58,11 @@ def _descending_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
+def _view_classes(n_classes: int) -> range:
+    """One-vs-rest positive classes: class 1 of a binary set, else all."""
+    return range(n_classes) if n_classes > 2 else range(1, n_classes)
+
+
 def fisher_score(train: Dataset) -> RankedFeatures:
     """Squared between-class mean gap over summed within-class variances.
 
@@ -66,17 +71,10 @@ def fisher_score(train: Dataset) -> RankedFeatures:
     differ (maximally discriminating).  For C > 2 the score is the max
     over one-vs-rest views.
     """
-    if train.n_classes > 2:
-        per_class = [
-            _fisher_binary(train.features, train.labels == c)
-            for c in range(train.n_classes)
-        ]
-        scores = np.max(per_class, axis=0)
-    else:
-        mask = train.labels == 1
-        if mask.all() or not mask.any():
-            raise DataError("class 1 vs rest: one side is empty")
-        scores = _fisher_binary(train.features, mask)
+    if train.n_classes <= 2 and not 0 < np.count_nonzero(train.labels == 1) < train.n_samples:
+        raise DataError("class 1 vs rest: one side is empty")
+    scores = np.max([_fisher_binary(train.features, train.labels == c)
+                     for c in _view_classes(train.n_classes)], axis=0)
     return RankedFeatures("fisher", scores, _descending_order(scores))
 
 
@@ -99,8 +97,22 @@ def discretize(values: np.ndarray, bin_count: int) -> np.ndarray:
     return np.clip(np.digitize(values, edges[1:-1]), 0, bin_count - 1)
 
 
-def _mi_from_joint(joint: np.ndarray) -> float:
-    """MI in nats from a joint count (or probability) table."""
+def _feature_bins(train: Dataset, bin_count: int) -> list[np.ndarray]:
+    """Each feature's bin ids, discretized once for every binned ranker."""
+    if bin_count < 2:
+        raise DataError(f"bin_count must be >= 2, got {bin_count}")
+    return [discretize(train.features[:, l], bin_count) for l in range(train.n_features)]
+
+
+def _table(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Counts of each (row, col) id pair, as float64 (unit weights)."""
+    ids = rows * shape[1] + cols
+    return np.bincount(ids, np.ones(ids.size), shape[0] * shape[1]).reshape(shape)
+
+
+def _mi(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> float:
+    """MI in nats between two id columns, from their count table."""
+    joint = _table(rows, cols, shape)
     p = joint / joint.sum()
     i, j = np.nonzero(p)
     # one rounded product a cell: the bits of the outer product px py'
@@ -110,48 +122,34 @@ def _mi_from_joint(joint: np.ndarray) -> float:
 
 def mutual_information(train: Dataset, bin_count: int = 10) -> RankedFeatures:
     """I(feature; label) over equal-width bins, in nats."""
-    if bin_count < 2:
-        raise DataError(f"bin_count must be >= 2, got {bin_count}")
-    C = train.n_classes
-    scores = np.empty(train.n_features)
-    for l in range(train.n_features):
-        bins = discretize(train.features[:, l], bin_count)
-        joint = np.zeros((bin_count, C))
-        np.add.at(joint, (bins, train.labels), 1.0)
-        scores[l] = _mi_from_joint(joint)
+    shape = (bin_count, train.n_classes)
+    scores = np.array([_mi(b, train.labels, shape) for b in _feature_bins(train, bin_count)])
     return RankedFeatures("mutual_info", scores, _descending_order(scores))
 
 
-def _chi2_binary(bins: np.ndarray, positive_mask: np.ndarray) -> float:
-    """Sum over occupied bin values of the per-value 2x2 statistic."""
-    n = bins.size
-    p_y1 = positive_mask.mean()
-    p_y0 = 1.0 - p_y1
-    total = 0.0
-    for b in np.unique(bins):
-        in_b = bins == b
-        p_x = in_b.mean()
-        p_nx = 1.0 - p_x
-        if p_x == 0 or p_nx == 0 or p_y1 == 0 or p_y0 == 0:
-            continue
-        p_x1 = (in_b & positive_mask).mean()
-        p_x0 = (in_b & ~positive_mask).mean()
-        p_nx1 = p_y1 - p_x1
-        p_nx0 = p_y0 - p_x0
-        cross = p_x1 * p_nx0 - p_x0 * p_nx1
-        total += n * cross * cross / (p_x * p_nx * p_y1 * p_y0)
-    return total
-
-
 def chi_squared(train: Dataset, bin_count: int = 10) -> RankedFeatures:
-    """Per-bin 2x2 chi-square summed over bins; one-vs-rest sum for C > 2."""
-    if bin_count < 2:
-        raise DataError(f"bin_count must be >= 2, got {bin_count}")
+    """Per-bin 2x2 chi-square summed over bins; one-vs-rest sum for C > 2.
+
+    Every probability is a count from the feature's table over n.  A bin
+    holding every row adds nothing, nor does a view with an empty side.
+    """
+    n, counts = train.n_samples, train.class_counts()
+    classes = [c for c in _view_classes(train.n_classes) if 0 < counts[c] < n]
+    p_y1 = counts[classes] / n
+    p_y0 = 1.0 - p_y1
     scores = np.empty(train.n_features)
-    classes = range(train.n_classes) if train.n_classes > 2 else (1,)
-    for l in range(train.n_features):
-        bins = discretize(train.features[:, l], bin_count)
-        scores[l] = sum(_chi2_binary(bins, train.labels == c) for c in classes)
+    for l, bins in enumerate(_feature_bins(train, bin_count)):
+        table = _table(bins, train.labels, (bin_count, train.n_classes))
+        in_bin = table.sum(axis=1)
+        kept = (0 < in_bin) & (in_bin < n)
+        x, x1 = in_bin[kept, None], table[kept][:, classes]
+        p_x, p_x1, p_x0 = x / n, x1 / n, (x - x1) / n
+        p_nx = 1.0 - p_x
+        cross = p_x1 * (p_y0 - p_x0) - p_x0 * (p_y1 - p_x1)
+        terms = n * cross * cross / (p_x * p_nx * p_y1 * p_y0)
+        # Bins in ascending order, then views in class order, one add at a
+        # time: np.sum regroups, and sum() compensates exact (non-NumPy) floats
+        scores[l] = sum(sum(terms, np.zeros(len(classes))))
     return RankedFeatures("chi_squared", scores, _descending_order(scores))
 
 
@@ -164,16 +162,12 @@ def mrmr_rank(train: Dataset, bin_count: int = 10) -> RankedFeatures:
     ``order`` is a full permutation.
     """
     d = train.n_features
-    bins = np.column_stack(
-        [discretize(train.features[:, l], bin_count) for l in range(d)]
-    )
-    relevance = mutual_information(train, bin_count).scores
+    bins = _feature_bins(train, bin_count)
+    relevance = np.array([_mi(b, train.labels, (bin_count, train.n_classes)) for b in bins])
     pair_mi = np.zeros((d, d))
     for a in range(d):
         for b in range(a, d):
-            joint = np.zeros((bin_count, bin_count))
-            np.add.at(joint, (bins[:, a], bins[:, b]), 1.0)
-            pair_mi[a, b] = pair_mi[b, a] = _mi_from_joint(joint)
+            pair_mi[a, b] = pair_mi[b, a] = _mi(bins[a], bins[b], (bin_count, bin_count))
 
     order = []
     criterion = np.full(d, -np.inf)

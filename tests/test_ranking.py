@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from genflow import (
     DataError,
@@ -14,6 +14,7 @@ from genflow import (
     project_top_k,
 )
 from genflow.ranking import discretize
+from tests import ranking_reference as reference
 
 
 def ds_from(X, y, n_classes=None):
@@ -261,3 +262,72 @@ def test_descending_order_invariant(binary_ds):
               chi_squared(binary_ds, 8)):
         s = r.scores[r.order]
         assert all(s[i] >= s[i + 1] for i in range(len(s) - 1))
+
+
+FEATURE_KINDS = ("normal", "integer", "ramp", "constant", "spike")
+
+
+def reference_set(n_classes, n, kinds, seed):
+    """n rows holding every one of n_classes classes, one column per kind:
+    normal draws, small integers (ties), a shuffled ramp (every bin
+    occupied once n >= bin_count), a constant (one bin holds every row) and
+    a spike (one row away from the rest)."""
+    rng = np.random.default_rng(seed)
+    y = rng.permutation(np.concatenate([np.arange(n_classes),
+                                        rng.integers(0, n_classes, n - n_classes)]))
+    columns = {
+        "normal": lambda: rng.normal(size=n),
+        "integer": lambda: rng.integers(0, 5, n).astype(float),
+        "ramp": lambda: rng.permutation(n).astype(float),
+        "constant": lambda: np.full(n, 1.5),
+        "spike": lambda: np.where(np.arange(n) == rng.integers(n), 10.0, 0.0),
+    }
+    return ds_from(np.column_stack([columns[k]() for k in kinds]), y, n_classes)
+
+
+@st.composite
+def reference_cases(draw):
+    n_classes = draw(st.integers(2, 6))
+    n = draw(st.integers(max(4, n_classes), 300))
+    kinds = draw(st.lists(st.sampled_from(FEATURE_KINDS), min_size=1, max_size=5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return reference_set(n_classes, n, kinds, seed), draw(st.integers(2, 13))
+
+
+class TestReferenceBits:
+    """Every ranker reproduces the pre-table code (``tests/ranking_reference``)
+    bit for bit: the bin terms' summation order and the class sum of
+    chi-squared included, so a drift on one Python version fails there."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=reference_cases())
+    # a ramp over 13 bins: more than 8 terms in one chi-squared bin sum
+    @example(case=(reference_set(2, 120, ("ramp", "normal"), 0), 13))
+    # C > 2: chi-squared's sum over the one-vs-rest views
+    @example(case=(reference_set(6, 300, FEATURE_KINDS, 1), 10))
+    @example(case=(reference_set(3, 4, ("constant", "spike", "integer"), 2), 2))
+    def test_scores_and_orders_match_the_reference(self, case):
+        ds, bins = case
+        for ranker, oracle, args in (
+                (fisher_score, reference.fisher_score, ()),
+                (mutual_information, reference.mutual_information, (bins,)),
+                (chi_squared, reference.chi_squared, (bins,)),
+                (mrmr_rank, reference.mrmr_rank, (bins,))):
+            got, want = ranker(ds, *args), oracle(ds, *args)
+            assert got.method == want.method
+            assert [v.hex() for v in got.scores.tolist()] == \
+                [v.hex() for v in want.scores.tolist()], got.method
+            assert got.order.tolist() == want.order.tolist(), got.method
+
+    def test_ramp_example_fills_more_than_eight_bins(self):
+        ds = reference_set(2, 120, ("ramp", "normal"), 0)
+        assert np.unique(discretize(ds.features[:, 0], 13)).size == 13
+
+
+@pytest.mark.parametrize("ranker", [mutual_information, chi_squared, mrmr_rank])
+@pytest.mark.parametrize("bins", [1, 0, -3])
+def test_binned_rankers_refuse_fewer_than_two_bins(binary_ds, ranker, bins):
+    # one check, ahead of any discretization (mRMR's linspace once raised
+    # a ValueError first for bin_count < -1)
+    with pytest.raises(DataError, match=rf"bin_count must be >= 2, got {bins}$"):
+        ranker(binary_ds, bins)

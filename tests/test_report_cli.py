@@ -252,6 +252,21 @@ class TestCli:
         assert code == 3
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_planted_bug_in_loader_exit_3(self, tmp_path, monkeypatch, capsys):
+        from genflow import cli
+
+        def buggy_load(*args, **kwargs):
+            raise RuntimeError("planted bug")
+
+        monkeypatch.setattr(cli, "load_dataset", buggy_load)
+        data = write_toy_csv(tmp_path / "toy.csv")
+        code = main(["--data", str(data), "--label-col", "label",
+                     "--families", "logreg", "--rankers", "fisher",
+                     "--grid-preset", "thin", "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "internal pipeline failure" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         data = write_toy_csv(tmp_path / "toy.csv")
         outs = []
