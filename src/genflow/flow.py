@@ -50,6 +50,7 @@ from .ranking import (
     fisher_score,
     mrmr_rank,
     mutual_information,
+    peak_bytes as ranking_peak_bytes,
     project_top_k,
 )
 from .selection import (
@@ -422,15 +423,11 @@ def physical_memory_bytes() -> int:
 
 
 def _refuse_oversized(config: FlowConfig, route: str, n_train: int, n_classes: int) -> None:
-    """Refuse, before any fit, a run whose LS-SVM or binned-ranker tables
-    would not fit in physical memory.  The final refit on the whole training
-    split bounds every fold and hierarchy-level fit.  Its packed system
-    holds about n_train (n_train + 256) / 2 words, and the test rows are
-    scored in 32-row chunks, so the test split does not enter the estimate.
-    A binned ranker counts each feature into one float64 table at a time,
-    bin_count x C (bin_count x bin_count for mRMR's pairs), and peaks in
-    ``_mi`` at 17 bytes a cell (the counts, ``p`` and one of slack) plus about
-    32 a bin for marginals and edges; chi-squared's table and row sums stay below."""
+    """Refuse, before any fit, a run whose LS-SVM system or binned-ranker
+    tables would not fit in physical memory.  Each layer owns its estimate,
+    ``lssvm.peak_bytes`` and ``ranking.peak_bytes``.  The LS-SVM's is for the
+    final refit on the whole training split, which bounds every fold and
+    level fit; test rows are scored in chunks and do not enter it."""
     available = physical_memory_bytes()
     kernel = _swept_families(config, route) & {"lssvm", "ova_svm"}
     if kernel and (estimate := lssvm_peak_bytes(n_train)) > available:
@@ -439,18 +436,32 @@ def _refuse_oversized(config: FlowConfig, route: str, n_train: int, n_classes: i
             f"{n_train} training rows, more than the "
             f"{available / 2**30:.1f} GiB of physical memory; drop lssvm/ova_svm "
             "from --families or lower --train-fraction")
-    methods = set(config.ranking_methods)
-    width = max(n_classes, config.bin_count if "mrmr" in methods else 0)
-    if methods - {"fisher"} and (estimate := config.bin_count * (17 * width + 32)) > available:
+    estimate = ranking_peak_bytes(config.ranking_methods, config.bin_count, n_classes)
+    if estimate > available:
         raise DataError(
             f"the binned rankers need about {estimate / 2**30:.2f} GiB for "
             f"{config.bin_count} bins, more than the {available / 2**30:.1f} GiB "
             "of physical memory; lower --bin-count or pass --rankers fisher")
 
 
+def _refuse_overflowing(data: Dataset) -> None:
+    """Refuse a feature that reaches max|x| >= 2**511 / sqrt(n) on the n
+    loaded rows: a sum of n squares at that size, as in standardization
+    and Fisher's variances, can overflow.  The column extremes come from
+    max and min, so no |X| copy is made."""
+    bound = 2.0**511 / np.sqrt(data.n_samples)
+    top = np.maximum(data.features.max(axis=0), -data.features.min(axis=0))
+    if (over := np.flatnonzero(top >= bound)).size:
+        name, size = data.feature_names[over[0]], top[over[0]]
+        raise DataError(f"feature {name!r} reaches magnitude {size:.6g}, at or above "
+                        f"2**511/sqrt(n) = {bound:.6g} for n = {data.n_samples} rows, "
+                        "where its sum of squares can overflow; rescale it")
+
+
 def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
     """Execute the whole pipeline on one dataset.  The returned report is
     complete: ``report_body`` of it is the body the bundle writes."""
+    _refuse_overflowing(data)
     trail: list[dict] = []
     split = stratified_split(data, config.train_fraction, config.seed)
     route = decision_route(data)

@@ -286,10 +286,8 @@ class LssvmModel(TrainedModel):
     def system_residual(self, train: Dataset) -> float:
         """Relative residual of [[0, 1'], [1, K + lam I]] [bias; coef] = [0; y]
         at the fitted solution, y being the +-1 labels of the fit rows
-        ``train``, with K's rows streamed by ``ROW_BLOCK``-row chunks."""
-        lam = float(self.spec.param("lambda", 1e-6))
-        gamma = float(self.spec.param("kernel_gamma", 1.0 / self.support.shape[1]))
-        coef = self.coef
-        fitted = self.bias + _kernel_times(self.support, self.support, gamma, coef) + lam * coef
+        ``train``, whose decision values give bias + K coef."""
+        coef, lam = self.coef, float(self.spec.param("lambda", 1e-6))
+        fitted = self.decision_values(train.features) + lam * coef
         r = np.append(np.ones_like(coef) @ coef, fitted - encode_sign_labels(train))
         return float(np.linalg.norm(r) / np.sqrt(len(coef)))

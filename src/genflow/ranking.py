@@ -1,11 +1,12 @@
 """Filter-based feature scoring: Fisher score, mutual information,
 chi-squared, and greedy mRMR, plus top-k projection.
 
-All scores are computed from the training split only.  The binned
-rankers (mutual information, chi-squared, mRMR) discretize each feature
-once into equal-width bins over its training range, count its (bin,
-label) or (bin, bin) pairs into one table and read their statistics from
-it.  Natural log is used throughout (base only rescales scores).
+All scores are computed from the training split only.  Fisher and
+chi-squared read one list of one-vs-rest views, those with rows on both
+sides.  The binned rankers (mutual information, chi-squared, mRMR) bin each
+feature once, equal-width over its training range, count its (bin, label)
+or (bin, bin) pairs into one table and read their statistics from it;
+``peak_bytes`` bounds the table's memory.  Natural log is used throughout.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "mrmr_rank",
     "project_top_k",
     "discretize",
+    "peak_bytes",
     "RANKING_METHODS",
 ]
 
@@ -58,9 +60,10 @@ def _descending_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-def _view_classes(n_classes: int) -> range:
-    """One-vs-rest positive classes: class 1 of a binary set, else all."""
-    return range(n_classes) if n_classes > 2 else range(1, n_classes)
+def _views(train: Dataset) -> list[int]:
+    """One-vs-rest positive classes with rows on both sides: class 1 if C = 2, else all."""
+    counts, first = train.class_counts(), 0 if train.n_classes > 2 else 1
+    return [c for c in range(first, train.n_classes) if 0 < counts[c] < train.n_samples]
 
 
 def fisher_score(train: Dataset) -> RankedFeatures:
@@ -69,12 +72,12 @@ def fisher_score(train: Dataset) -> RankedFeatures:
     Variances are population variances.  A feature with zero spread on
     both sides scores 0 when the class means agree and +inf when they
     differ (maximally discriminating).  For C > 2 the score is the max
-    over one-vs-rest views.
+    over one-vs-rest views; a view with an empty side is skipped.
     """
-    if train.n_classes <= 2 and not 0 < np.count_nonzero(train.labels == 1) < train.n_samples:
-        raise DataError("class 1 vs rest: one side is empty")
-    scores = np.max([_fisher_binary(train.features, train.labels == c)
-                     for c in _view_classes(train.n_classes)], axis=0)
+    if not (views := _views(train)):
+        raise DataError("class 1 vs rest: one side is empty" if train.n_classes <= 2
+                        else "every one-vs-rest view has an empty side")
+    scores = np.max([_fisher_binary(train.features, train.labels == c) for c in views], axis=0)
     return RankedFeatures("fisher", scores, _descending_order(scores))
 
 
@@ -120,6 +123,16 @@ def _mi(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> float:
     return float(np.sum(p[i, j] * np.log(p[i, j] / pxy)))
 
 
+def peak_bytes(methods, bin_count: int, n_classes: int) -> int:
+    """Peak bytes of the binned rankers among ``methods``: one feature's widest table,
+    bin_count x C (x bin_count for mRMR's pairs), at 17 a cell in ``_mi`` (counts, ``p``,
+    slack) plus 32 a bin for marginals and edges; chi-squared stays below, Fisher at 0."""
+    if not set(methods) - {"fisher"}:
+        return 0
+    width = max(n_classes, bin_count if "mrmr" in methods else 0)
+    return bin_count * (17 * width + 32)
+
+
 def mutual_information(train: Dataset, bin_count: int = 10) -> RankedFeatures:
     """I(feature; label) over equal-width bins, in nats."""
     shape = (bin_count, train.n_classes)
@@ -133,9 +146,8 @@ def chi_squared(train: Dataset, bin_count: int = 10) -> RankedFeatures:
     Every probability is a count from the feature's table over n.  A bin
     holding every row adds nothing, nor does a view with an empty side.
     """
-    n, counts = train.n_samples, train.class_counts()
-    classes = [c for c in _view_classes(train.n_classes) if 0 < counts[c] < n]
-    p_y1 = counts[classes] / n
+    n, classes = train.n_samples, _views(train)
+    p_y1 = train.class_counts()[classes] / n
     p_y0 = 1.0 - p_y1
     scores = np.empty(train.n_features)
     for l, bins in enumerate(_feature_bins(train, bin_count)):

@@ -90,12 +90,9 @@ def report_body(report: FlowReport) -> dict:
     }
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.10g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+def _csv(header: list[str], rows) -> str:
+    return "".join(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row)
+                   + "\n" for row in [header, *rows])
 
 
 # ---------------------------------------------------------------- SVG plots
@@ -103,6 +100,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
+# XML text escapes: xml.sax.saxutils.escape imports urllib.request, +3 MB peak RSS
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _svg_header(title: str) -> list[str]:
@@ -111,7 +110,7 @@ def _svg_header(title: str) -> list[str]:
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">{title.translate(_XML_TEXT)}</text>',
     ]
 
 
@@ -198,37 +197,34 @@ def roc_svg(points: list[tuple[float, float, float]], title: str,
 
 
 def emit_bundle(report: FlowReport, out_dir) -> list[Path]:
-    """Write the bundle of a finished report; the report is not changed."""
+    """Write the bundle of a finished report as UTF-8; the report is not changed."""
     out = Path(out_dir)
     for sub in ("curves", "models", "plots"):
         (out / sub).mkdir(parents=True, exist_ok=True)
-    path = out / "report.json"
+    written = []
+
+    def write(name: str, text: str) -> None:
+        path = out / name
+        path.write_text(text, encoding="utf-8")
+        written.append(path)
+
     doc = {"generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
            **report_body(report)}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
-    written = [path]
-
+    write("report.json", json.dumps(doc, indent=2, sort_keys=False) + "\n")
     for task in report.tasks():
         slug = file_stem(task.name)
         for method, curve in task.dim.curves.items():
-            path = out / "curves" / f"dimsweep_{slug}_{method}.csv"
-            _write_csv(path, ["method", "k", "mean_cv_accuracy"],
-                       [(method, k + 1, float(a)) for k, a in enumerate(curve)])
-            written.append(path)
-        path = out / "plots" / f"dimsweep_{slug}.svg"
-        path.write_text(dimsweep_svg(task.dim.curves,
-                                     f"accuracy vs top-k features: {task.name}"))
-        written.append(path)
+            write(f"curves/dimsweep_{slug}_{method}.csv",
+                  _csv(["method", "k", "mean_cv_accuracy"],
+                       [(method, k + 1, float(a)) for k, a in enumerate(curve)]))
+        write(f"plots/dimsweep_{slug}.svg",
+              dimsweep_svg(task.dim.curves, f"accuracy vs top-k features: {task.name}"))
         if task.roc is not None and task.roc.roc:
-            path = out / "curves" / f"roc_{slug}.csv"
-            _write_csv(path, ["threshold", "fpr", "tpr"],
-                       [(float(t), float(f), float(tp)) for f, tp, t in task.roc.roc])
-            written.append(path)
-            path = out / "plots" / f"roc_{slug}.svg"
-            path.write_text(roc_svg(task.roc.roc, f"ROC: {task.name}", auc=task.roc.auc))
-            written.append(path)
+            write(f"curves/roc_{slug}.csv",
+                  _csv(["threshold", "fpr", "tpr"],
+                       [(float(t), float(f), float(tp)) for f, tp, t in task.roc.roc]))
+            write(f"plots/roc_{slug}.svg",
+                  roc_svg(task.roc.roc, f"ROC: {task.name}", auc=task.roc.auc))
         if task.model is not None:
-            path = out / "models" / f"{slug}.json"
-            path.write_text(json.dumps(task.model.to_document()) + "\n")
-            written.append(path)
+            write(f"models/{slug}.json", json.dumps(task.model.to_document()) + "\n")
     return written

@@ -26,7 +26,7 @@ from genflow import (
 )
 from genflow import flow, selection
 from genflow.cli import build_parser, main
-from genflow.models import fit_model
+from genflow.models import BINARY_FAMILIES, MULTICLASS_FAMILIES, fit_model
 from genflow.ranking import RANKING_METHODS
 from tests.conftest import group_hierarchy, make_binary, make_imbalanced6, make_multiclass
 from tests.test_flow import fast_config
@@ -491,3 +491,52 @@ class TestRefusedBeforeSplit:
         files = [f"dimsweep_{flow.file_stem('hierarchy:' + name)}_{method}.csv"
                  for method in flow._RANKERS]
         assert max(len(f.encode()) for f in files) == 255
+
+
+def write_scaled_csv(path, data, top):
+    """``data`` as a CSV, its last column rescaled to reach magnitude ``top``;
+    every value is written exactly."""
+    X = data.features.copy()
+    X[:, -1] *= top / np.abs(X[:, -1]).max()
+    with open(path, "w") as fh:
+        fh.write(",".join(data.feature_names) + ",label\n")
+        for row, y in zip(X, data.labels):
+            fh.write(",".join(repr(float(v)) for v in row) + f",{y}\n")
+    return path
+
+
+class TestLargeFeature:
+    """A feature whose sums of squares can overflow, max|x| >= 2**511/sqrt(n)
+    on the n loaded rows, is refused before the split; just below the bound
+    every family and ranker runs without a RuntimeWarning."""
+
+    BOUND = 2.0**511 / np.sqrt(120)
+
+    def test_exit_2_before_any_fit(self, tmp_path, monkeypatch, capsys):
+        forbid_fits(monkeypatch)
+        data = write_scaled_csv(tmp_path / "big.csv", make_binary(n=120, d=3), 9.75e306)
+        assert main(["--data", str(data), "--label-col", "label", "--grid-preset", "thin",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "feature 'f2' reaches magnitude 9.75e+306" in err
+        assert f"2**511/sqrt(n) = {self.BOUND:.6g} for n = 120 rows" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_flow_refuses_at_the_bound(self, monkeypatch):
+        forbid_fits(monkeypatch)
+        data = make_binary(n=120, d=3)
+        X = data.features.copy()
+        X[0, 1] = -self.BOUND
+        with pytest.raises(DataError, match="feature 'f1' reaches magnitude"):
+            run_flow(replace(data, features=X), fast_config())
+
+    @pytest.mark.parametrize("data, families", [
+        (make_binary(n=120, d=3), BINARY_FAMILIES),
+        (make_multiclass(n=120), MULTICLASS_FAMILIES)], ids=["binary", "multiclass"])
+    def test_just_below_the_bound_exit_0(self, tmp_path, data, families):
+        # tier-1 turns a RuntimeWarning into an error, which exits 3
+        path = write_scaled_csv(tmp_path / "wide.csv", data, 0.99 * self.BOUND)
+        assert main(["--data", str(path), "--label-col", "label", "--grid-preset", "thin",
+                     "--families", ",".join(families),
+                     "--rankers", "fisher,mutual_info,chi_squared,mrmr",
+                     "--out", str(tmp_path / "out")]) == 0

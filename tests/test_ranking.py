@@ -331,3 +331,42 @@ def test_binned_rankers_refuse_fewer_than_two_bins(binary_ds, ranker, bins):
     # a ValueError first for bin_count < -1)
     with pytest.raises(DataError, match=rf"bin_count must be >= 2, got {bins}$"):
         ranker(binary_ds, bins)
+
+
+def with_empty_class(ds, position):
+    """``ds`` with a class name holding no rows inserted at ``position``."""
+    labels = ds.labels + (ds.labels >= position)
+    names = ds.class_names[:position] + ("empty",) + ds.class_names[position:]
+    return Dataset(ds.features, labels, ds.feature_names, names)
+
+
+class TestEmptyClass:
+    """A one-vs-rest view with an empty side is skipped by both Fisher and
+    chi-squared, so a set that names a class with no rows scores as the
+    same rows without that name, bit for bit and without a warning."""
+
+    @pytest.mark.parametrize("n_classes", [3, 4, 5, 6])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scores_equal_the_set_without_the_class(self, n_classes, where, seed):
+        present = reference_set(n_classes - 1, 40, FEATURE_KINDS, seed)
+        position = {"first": 0, "middle": n_classes // 2, "last": n_classes - 1}[where]
+        ds = with_empty_class(present, position)
+        assert ds.n_classes == n_classes and ds.class_counts()[position] == 0
+        rankers = [fisher_score]
+        # Dropping a class from three leaves a binary set, whose chi-squared
+        # has one view (class 1) where the three-class set has two.
+        if n_classes > 3:
+            rankers.append(lambda d: chi_squared(d, 10))
+        for ranker in rankers:
+            got, want = ranker(ds), ranker(present)
+            assert [v.hex() for v in got.scores.tolist()] == \
+                [v.hex() for v in want.scores.tolist()], got.method
+            assert got.order.tolist() == want.order.tolist(), got.method
+
+    def test_no_view_left(self):
+        # every row in one class of three: no view has rows on both sides
+        ds = ds_from([[0.0], [1.0], [2.0]], [1, 1, 1], n_classes=3)
+        with pytest.raises(DataError, match="every one-vs-rest view has an empty side"):
+            fisher_score(ds)
+        assert chi_squared(ds, 4).scores.tolist() == [0.0]

@@ -1,8 +1,11 @@
+import codecs
 import json
 import os
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
+from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 from genflow import flow, run_flow
+from genflow.flow import file_stem
 from genflow.cli import main
 from genflow.models import FAMILIES
 from genflow.report import dimsweep_svg, emit_bundle, report_body, roc_svg
@@ -140,6 +144,13 @@ class TestSvg:
         pts = re.search(r'<polyline[^>]*points="([^"]+)"', svg).group(1)
         # curve points plus the appended (0,0) and (1,1) endpoints
         assert len(pts.split()) == len(roc.roc) + 2
+
+    def test_markup_in_a_level_name_is_escaped(self, binary_report, tmp_path):
+        level = replace(binary_report.flat, name="hierarchy:A&B <top> é")
+        emit_bundle(replace(binary_report, flat=None, levels=[level]), tmp_path)
+        for plot in ("dimsweep", "roc"):
+            root = ET.parse(tmp_path / "plots" / f"{plot}_{file_stem(level.name)}.svg").getroot()
+            assert level.name in root.find("{http://www.w3.org/2000/svg}text").text
 
     def test_plotted_values_exist_in_curve_file(self, binary_report, tmp_path):
         # Every accuracy rendered in the SVG is backed by a CSV row.
@@ -321,3 +332,37 @@ def test_report_body_independent_of_the_interpreter_process(tmp_path):
         assert doc["route"] == "multiclass_hierarchical"
         bodies.append(json.dumps(doc))  # a string keeps key order in the comparison
     assert bodies[0] == bodies[1]
+
+
+def test_non_ascii_level_name_under_an_ascii_locale(tmp_path):
+    """The bundle is UTF-8 whatever the locale: a level named with a
+    non-ASCII character runs under the C locale with UTF-8 mode off."""
+    ds = make_imbalanced6(n=600)
+    data = tmp_path / "six.csv"
+    with open(data, "w") as fh:
+        fh.write(",".join(ds.feature_names) + ",class\n")
+        for row, y in zip(ds.features, ds.labels):
+            fh.write(",".join(f"{v:.6f}" for v in row) + f",{ds.class_names[y]}\n")
+    levels = group_hierarchy().to_list()
+    levels[0]["name"] = "grade \u2265 2"
+    hier = tmp_path / "hierarchy.json"
+    hier.write_text(json.dumps(levels, ensure_ascii=False), encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=str(src),
+               OPENBLAS_NUM_THREADS="1")
+    encoding = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
+    assert codecs.lookup(encoding).name == "ascii"
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "genflow.cli", "--data", str(data), "--label-col", "class",
+         "--hierarchy", str(hier), "--families", "multinomial_logreg,logreg",
+         "--grid-preset", "thin", "--fold-count", "3", "--train-fraction", "0.5",
+         "--seed", "3", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "report.json").read_text())["route"] == "multiclass_hierarchical"
+    svg = (out / "plots" / "dimsweep_hierarchy_grade___2.svg").read_text(encoding="utf-8")
+    assert "hierarchy:grade \u2265 2" in svg
