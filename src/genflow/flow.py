@@ -22,6 +22,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -171,9 +172,18 @@ class HierarchySpec:
         if clash := [lv.name for lv, s in zip(self.levels, stems) if stems.count(s) > 1]:
             raise DataError(f"hierarchy levels {clash} would write the same bundle "
                             "files; give each level a name of its own")
-        # isalnum keeps non-ASCII letters, so a stem is measured in UTF-8 bytes.
+        # isalnum keeps non-ASCII letters, so a stem is measured in the bytes
+        # of the file-system encoding, which must hold it.
         for lv, s in zip(self.levels, stems):
-            if (size := len(s.encode())) > MAX_LEVEL_STEM_BYTES:
+            try:
+                size = len(os.fsencode(s))
+            except UnicodeEncodeError as exc:
+                raise DataError(
+                    f"hierarchy level {lv.name!r} names bundle files with "
+                    f"{exc.object[exc.start:exc.end]!r}, which the file-system encoding "
+                    f"{sys.getfilesystemencoding()} cannot hold; rename the level or "
+                    "run under a UTF-8 locale") from None
+            if size > MAX_LEVEL_STEM_BYTES:
                 raise DataError(f"hierarchy level {lv.name[:40]!r}... names bundle files "
                                 f"over 255 bytes: its file stem is {size} bytes, at most "
                                 f"{MAX_LEVEL_STEM_BYTES} fit")
@@ -262,18 +272,19 @@ def decision_route(data: Dataset) -> str:
 
 
 def select_best_model(candidates, train: Dataset, folds: FoldPlan, grids,
-                      seed: int = 0) -> tuple[SweepResult, list[dict]]:
+                      seed: int = 0, fork: bool = True) -> tuple[SweepResult, list[dict]]:
     """Decision 2: sweep every candidate family, keep the best.
 
     Families tied to 4 decimal places resolve by model complexity
-    (simpler wins).
+    (simpler wins).  ``fork=False`` keeps every fit in this process.
     """
     candidates = list(candidates)  # a generator would be spent by the loop below
     if not candidates:
         raise DataError("no candidate families")
     results = []
     for family in candidates:
-        results.append(sweep_parameters(family, grids[family], train, folds, seed=seed))
+        results.append(sweep_parameters(family, grids[family], train, folds, seed=seed,
+                                        fork=fork))
     if all(row["note"] for result in results for row in result.table):
         raise DataError("every candidate family failed to fit")
     leaderboard = [{
@@ -307,13 +318,14 @@ def _swept_families(config: FlowConfig, route: str) -> set[str]:
 
 
 def _run_task(name: str, train: Dataset, candidates, config: FlowConfig,
-              trail: list[dict]) -> TaskResult:
+              trail: list[dict], fork: bool) -> TaskResult:
     """Decision 2, one ranking pass and the dimensionality sweep for one
-    task; its out-of-fold metrics pool the sweep's winning fits."""
+    task; its out-of-fold metrics pool the sweep's winning fits.  ``fork``
+    lets the sweeps share their fold fits with a helper process."""
     folds = make_interleaved_folds(train, config.fold_count, config.seed,
                                    positional=config.folds_positional)
     sweep, leaderboard = select_best_model(candidates, train, folds,
-                                           config.grids, seed=config.seed)
+                                           config.grids, seed=config.seed, fork=fork)
     trail.append({
         "stage": f"decision2:{name}",
         "inputs": {"candidates": list(candidates),
@@ -326,7 +338,7 @@ def _run_task(name: str, train: Dataset, candidates, config: FlowConfig,
                     "cv_accuracy": sweep.cv_accuracy},
     })
     rankings = compute_rankings(train, config)
-    dim = dimensionality_sweep(sweep.best_spec, train, folds, rankings)
+    dim = dimensionality_sweep(sweep.best_spec, train, folds, rankings, fork=fork)
     trail.append({
         "stage": f"dimensionality:{name}",
         "inputs": {"methods": [r.method for r in rankings]},
@@ -422,17 +434,22 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _refuse_oversized(config: FlowConfig, route: str, n_train: int, n_classes: int) -> None:
+def _refuse_oversized(config: FlowConfig, route: str, n_train: int, n_classes: int) -> bool:
     """Refuse, before any fit, a run whose LS-SVM system or binned-ranker
     tables would not fit in physical memory.  Each layer owns its estimate,
     ``lssvm.peak_bytes`` and ``ranking.peak_bytes``.  The LS-SVM's is for the
     final refit on the whole training split, which bounds every fold and
-    level fit; test rows are scored in chunks and do not enter it."""
+    level fit; test rows are scored in chunks and do not enter it.
+
+    Return whether the sweeps may share their fold fits with a helper
+    process: true unless the run sweeps an LS-SVM family and two of its
+    systems, one per process, would not fit at once."""
     available = physical_memory_bytes()
     kernel = _swept_families(config, route) & {"lssvm", "ova_svm"}
-    if kernel and (estimate := lssvm_peak_bytes(n_train)) > available:
+    kernel_bytes = lssvm_peak_bytes(n_train) if kernel else 0
+    if kernel_bytes > available:
         raise DataError(
-            f"the LS-SVM families need about {estimate / 2**30:.2f} GiB to fit "
+            f"the LS-SVM families need about {kernel_bytes / 2**30:.2f} GiB to fit "
             f"{n_train} training rows, more than the "
             f"{available / 2**30:.1f} GiB of physical memory; drop lssvm/ova_svm "
             "from --families or lower --train-fraction")
@@ -442,6 +459,7 @@ def _refuse_oversized(config: FlowConfig, route: str, n_train: int, n_classes: i
             f"the binned rankers need about {estimate / 2**30:.2f} GiB for "
             f"{config.bin_count} bins, more than the {available / 2**30:.1f} GiB "
             "of physical memory; lower --bin-count or pass --rankers fisher")
+    return 2 * kernel_bytes <= available
 
 
 def _refuse_overflowing(data: Dataset) -> None:
@@ -465,7 +483,7 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
     trail: list[dict] = []
     split = stratified_split(data, config.train_fraction, config.seed)
     route = decision_route(data)
-    _refuse_oversized(config, route, split.train.n_samples, data.n_classes)
+    fork = _refuse_oversized(config, route, split.train.n_samples, data.n_classes)
     trail.append({
         "stage": "split",
         "inputs": {"train_fraction": config.train_fraction, "seed": config.seed},
@@ -513,14 +531,14 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
     if ungridded := sorted(_swept_families(config, route) - config.grids.keys()):
         raise DataError(f"no grid for the swept families {ungridded}")
 
-    report.flat = _run_task(flat_name, split.train, flat_families, config, trail)
+    report.flat = _run_task(flat_name, split.train, flat_families, config, trail, fork)
     if route != "binary":
         report.baseline = randomized_recall(split.train.class_counts())
         flat_value = _decision3_value(report.flat.cv_metrics, config.decision3_metric)
         if flat_value < report.baseline and config.hierarchy is not None:
             # Each level trains on its ground-truth subset; predictions never
             # cascade between levels.
-            report.levels = [_run_task(name, train, level_families, config, trail)
+            report.levels = [_run_task(name, train, level_families, config, trail, fork)
                              for name, train, _ in tasks[1:]]
             report.combined_cv = combine_level_metrics([t.cv_metrics for t in report.levels])
         report.route, detail = decision_hierarchy(report.flat.cv_metrics, report.baseline,

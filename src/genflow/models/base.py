@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ __all__ = [
     "document_field",
     "logistic_loss",
     "row_max",
+    "second_core_free",
     "softmax_rows",
     "squash",
     "standardize",
@@ -128,6 +130,19 @@ class TrainedModel:
             "converged": self.converged,
             "parameters": self._payload(),
         }
+
+
+def second_core_free() -> bool:
+    """Whether this process may put its own work on a second core: BLAS
+    runs one thread (the variable OpenBLAS reads, ``OPENBLAS_NUM_THREADS``
+    then ``OMP_NUM_THREADS``, is 1) and the process may run on at least two
+    CPUs.  The LS-SVM factor's second lane and the sweeps' fold helper run
+    only then.  Beside a two-thread BLAS they would oversubscribe two
+    cores: a 4565-row factor took 0.774 s on two lanes against one lane's
+    0.553 s (2 vCPUs, OpenBLAS 0.3.31)."""
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return blas == "1" and (cpus or 1) >= 2
 
 
 def row_max(Z: np.ndarray) -> np.ndarray:

@@ -17,24 +17,24 @@ Memory: only the lower triangle of K + lam I is stored, as block rows of
 ``BLOCK`` rows in one flat buffer (block row k holds rows i_k:j_k,
 columns 0:j_k), about n(n + BLOCK)/2 words; the Cholesky factor overwrites
 it block row by block row, each diagonal block by its inverse, through one
-BLOCK x BLOCK scratch per lane.  When BLAS runs one thread the block rows
-are factored on two lanes, the calling thread and one helper, with the
-bits of one lane.  Scoring m rows computes the kernel over
-``ROW_BLOCK``-row chunks through one slab of at most ROW_BLOCK + 1 rows of
-n, so no m x n kernel is ever whole.  ``peak_bytes`` is the estimate;
-``run_flow`` refuses a job whose estimate exceeds physical memory (CLI
-exit 2).
+BLOCK x BLOCK scratch per lane.  When a second core is free
+(``base.second_core_free``) the block rows are factored on two lanes, the
+calling thread and one helper, with the bits of one lane.  Scoring m rows
+computes the kernel over ``ROW_BLOCK``-row chunks through one slab of at
+most ROW_BLOCK + 1 rows of n, so no m x n kernel is ever whole.
+``peak_bytes`` is the estimate; ``run_flow`` refuses a job whose estimate
+exceeds physical memory (CLI exit 2), and lets the sweeps' fold helper
+process run only when two such systems fit at once.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
 
 from ..dataset import Dataset, encode_sign_labels
-from .base import ModelSpec, TrainedModel, squash, standardize
+from .base import ModelSpec, TrainedModel, second_core_free, squash, standardize
 
 __all__ = ["LssvmModel", "peak_bytes", "rbf_kernel"]
 
@@ -112,15 +112,9 @@ def _lower_inverse(L: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _lane_count(block_rows: int) -> int:
-    """Two factor lanes when BLAS runs one thread (the variable OpenBLAS
-    reads, ``OPENBLAS_NUM_THREADS`` then ``OMP_NUM_THREADS``, is 1), the
-    process may run on at least two CPUs and the system has more than one
-    block row; else one.  Two lanes over a two-thread BLAS oversubscribe
-    two cores: a 4565-row factor took 0.774 s against one lane's 0.553 s
-    (2 vCPUs, OpenBLAS 0.3.31)."""
-    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return 2 if blas == "1" and (cpus or 1) >= 2 and block_rows > 1 else 1
+    """Two factor lanes when a second core is free (``second_core_free``)
+    and the system has more than one block row; else one."""
+    return 2 if block_rows > 1 and second_core_free() else 1
 
 
 def _factor_in_place(rows: list[np.ndarray]) -> None:

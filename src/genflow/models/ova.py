@@ -10,7 +10,14 @@ import numpy as np
 from ..dataset import Dataset, DataError
 from .base import ModelSpec, TrainedModel, document_field
 
-__all__ = ["OneVsAllModel"]
+__all__ = ["OneVsAllModel", "refuse_missing_class"]
+
+
+def refuse_missing_class(counts: np.ndarray) -> None:
+    """Raise the ``DataError`` of a one-vs-all fit whose training rows,
+    counted per class in ``counts``, lack a class: it names the first."""
+    if (counts == 0).any():
+        raise DataError(f"one-vs-all: class {int(np.argmin(counts))} has no training samples")
 
 
 class OneVsAllModel(TrainedModel):
@@ -26,10 +33,7 @@ class OneVsAllModel(TrainedModel):
         from . import FAMILIES, fit_model  # the registry imports this module
 
         base = FAMILIES[spec.family].ova_base
-        counts = train.class_counts()
-        if (counts == 0).any():
-            empty = int(np.argmin(counts))
-            raise DataError(f"one-vs-all: class {empty} has no training samples")
+        refuse_missing_class(train.class_counts())
         members = []
         for c in range(train.n_classes):
             view = replace(

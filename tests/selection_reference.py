@@ -4,8 +4,10 @@ chose their winners with one ``max`` each, kept unchanged as a test oracle.
 
 Each loop keeps a running best and replaces it only on a strictly better
 candidate.  The dimensionality sweep cross-validates every (method, k)
-point, even when two rankings share a top-k prefix.  The library must
-reproduce these tables, curves, winners and out-of-fold labels exactly.
+point, even when two rankings share a top-k prefix.  Folds are fitted one
+after another in this process, stopping at a point's first failing fold.
+The library must reproduce these tables, curves, winners and out-of-fold
+labels exactly.
 """
 
 from __future__ import annotations
@@ -16,18 +18,31 @@ import warnings
 import numpy as np
 
 from genflow import DataError
-from genflow.models import FAMILIES
+from genflow.models import FAMILIES, fit_model
 from genflow.ranking import project_top_k
 from genflow.selection import (
     _FIT_FAILURES,
     DimSweepResult,
     SweepResult,
     _resolve_spec,
-    cross_validate,
-    cv_accuracy,
 )
 
 DEFAULT_GRIDS = {n: f.grid for n, f in FAMILIES.items()}
+
+
+def cross_validate(spec, train, folds):
+    pred = np.empty(train.n_samples, dtype=int)
+    accs = []
+    for fit_rows, val_rows in folds.folds():
+        model = fit_model(spec, train.restrict_rows(fit_rows))
+        pred[val_rows] = model.predict_labels(train.restrict_rows(val_rows))
+        accs.append(float(np.mean(pred[val_rows] == train.labels[val_rows])))
+    return accs, pred
+
+
+def cv_accuracy(spec, train, folds):
+    accs, _ = cross_validate(spec, train, folds)
+    return float(np.mean(accs)), accs
 
 
 def sweep_parameters(family, grid, train, folds, seed=0):

@@ -334,9 +334,10 @@ def test_report_body_independent_of_the_interpreter_process(tmp_path):
     assert bodies[0] == bodies[1]
 
 
-def test_non_ascii_level_name_under_an_ascii_locale(tmp_path):
-    """The bundle is UTF-8 whatever the locale: a level named with a
-    non-ASCII character runs under the C locale with UTF-8 mode off."""
+def run_under_ascii_locale(tmp_path, level_name):
+    """The CLI on the six-class fixture, its first level named
+    ``level_name``, under the C locale with UTF-8 mode off: the finished
+    process and its output directory."""
     ds = make_imbalanced6(n=600)
     data = tmp_path / "six.csv"
     with open(data, "w") as fh:
@@ -344,7 +345,7 @@ def test_non_ascii_level_name_under_an_ascii_locale(tmp_path):
         for row, y in zip(ds.features, ds.labels):
             fh.write(",".join(f"{v:.6f}" for v in row) + f",{ds.class_names[y]}\n")
     levels = group_hierarchy().to_list()
-    levels[0]["name"] = "grade \u2265 2"
+    levels[0]["name"] = level_name
     hier = tmp_path / "hierarchy.json"
     hier.write_text(json.dumps(levels, ensure_ascii=False), encoding="utf-8")
     src = Path(__file__).resolve().parents[1] / "src"
@@ -362,7 +363,23 @@ def test_non_ascii_level_name_under_an_ascii_locale(tmp_path):
          "--grid-preset", "thin", "--fold-count", "3", "--train-fraction", "0.5",
          "--seed", "3", "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=300)
+    return proc, out
+
+
+def test_non_ascii_level_name_under_an_ascii_locale(tmp_path):
+    """The bundle is UTF-8 whatever the locale: a level named with a
+    non-ASCII character runs under the C locale with UTF-8 mode off."""
+    proc, out = run_under_ascii_locale(tmp_path, "grade \u2265 2")
     assert proc.returncode == 0, proc.stderr
     assert json.loads((out / "report.json").read_text())["route"] == "multiclass_hierarchical"
     svg = (out / "plots" / "dimsweep_hierarchy_grade___2.svg").read_text(encoding="utf-8")
     assert "hierarchy:grade \u2265 2" in svg
+
+
+def test_level_stem_the_file_system_cannot_name_exits_2(tmp_path):
+    """A level whose file stem keeps a letter that an ASCII file-system
+    encoding cannot hold is refused before the split, not after every fit."""
+    proc, out = run_under_ascii_locale(tmp_path, "gr\u00e4d\u00e9")
+    assert proc.returncode == 2, proc.stderr
+    assert "file-system encoding" in proc.stderr and "UTF-8 locale" in proc.stderr
+    assert not out.exists()

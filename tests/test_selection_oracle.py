@@ -41,8 +41,11 @@ def distinct_prefixes(rankings) -> int:
 
 
 def fit_counter(mp) -> list:
+    """Record the family of every fit the selection module makes.  The
+    fits stay in this process, where the spy sees them all."""
     calls = []
     original = selection.fit_model
+    mp.setattr(selection, "second_core_free", lambda: False)
 
     def counted(spec, train):
         calls.append(spec.family)
@@ -120,7 +123,7 @@ class TestDecisionTwoTies:
                 [{"point": {}, "mean_accuracy": 0.0 if failed else acc,
                   "fold_accuracies": [], "note": "fit failed: x" if failed else ""}])
 
-        def fake_sweep(name, grid, train, folds, seed=0):
+        def fake_sweep(name, grid, train, folds, seed=0, fork=True):
             return by_family[name]
 
         results = []
