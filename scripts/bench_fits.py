@@ -14,8 +14,9 @@ positives, the fit rows of one of five folds of a 30% split of 19020.
 Each line is the median seconds of ``--repeats`` fits, the median seconds
 of ``--repeats`` ``predict_scores`` calls of the last fit on its own fit
 rows, and the traced peak memory (``tracemalloc``, MB) of one more fit;
-``lssvm`` lines add the memory guard's estimate, ``peak_bytes``, for the
-same rows.
+lines of a family whose record bounds its fit memory (``lssvm`` and
+``ova_svm``) add the memory guard's estimate, ``peak_bytes``, for the same
+rows.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_fits.py
         [--families a,b] [--seed N] [--repeats R]
@@ -30,7 +31,6 @@ import numpy as np
 
 from genflow import Dataset, make_interleaved_folds, stratified_split
 from genflow.models import BINARY_FAMILIES, FAMILIES, ModelSpec, fit_model
-from genflow.models.lssvm import peak_bytes as lssvm_peak_bytes
 from genflow.selection import _resolve_spec
 
 DEFAULT_FAMILIES = "boosted_tree,decision_forest,logreg,lssvm,multinomial_logreg,neural_net"
@@ -117,8 +117,8 @@ def main() -> int:
                 t0 = time.perf_counter()
                 model.predict_scores(data)
                 predict_s.append(time.perf_counter() - t0)
-            estimate = (f"  peak_bytes {lssvm_peak_bytes(data.n_samples) / 2**20:.1f} MB"
-                        if family == "lssvm" else "")
+            bound = FAMILIES[family].fit_bytes(data.n_samples)
+            estimate = f"  peak_bytes {bound / 2**20:.1f} MB" if bound else ""
             print(f"{family:18s} {label:13s} {point}  fit {statistics.median(fit_s):.4f} s"
                   f"  predict {statistics.median(predict_s):.4f} s"
                   f"  {traced_peak_mb(spec, data):.1f} MB{estimate}")

@@ -43,7 +43,7 @@ from .models import (
     TrainedModel,
     fit_model,
 )
-from .models.lssvm import peak_bytes as lssvm_peak_bytes
+from .models.base import physical_memory_bytes
 from .ranking import (
     RANKING_METHODS,
     RankedFeatures,
@@ -272,19 +272,18 @@ def decision_route(data: Dataset) -> str:
 
 
 def select_best_model(candidates, train: Dataset, folds: FoldPlan, grids,
-                      seed: int = 0, fork: bool = True) -> tuple[SweepResult, list[dict]]:
+                      seed: int = 0) -> tuple[SweepResult, list[dict]]:
     """Decision 2: sweep every candidate family, keep the best.
 
     Families tied to 4 decimal places resolve by model complexity
-    (simpler wins).  ``fork=False`` keeps every fit in this process.
+    (simpler wins).
     """
     candidates = list(candidates)  # a generator would be spent by the loop below
     if not candidates:
         raise DataError("no candidate families")
     results = []
     for family in candidates:
-        results.append(sweep_parameters(family, grids[family], train, folds, seed=seed,
-                                        fork=fork))
+        results.append(sweep_parameters(family, grids[family], train, folds, seed=seed))
     if all(row["note"] for result in results for row in result.table):
         raise DataError("every candidate family failed to fit")
     leaderboard = [{
@@ -318,14 +317,13 @@ def _swept_families(config: FlowConfig, route: str) -> set[str]:
 
 
 def _run_task(name: str, train: Dataset, candidates, config: FlowConfig,
-              trail: list[dict], fork: bool) -> TaskResult:
+              trail: list[dict]) -> TaskResult:
     """Decision 2, one ranking pass and the dimensionality sweep for one
-    task; its out-of-fold metrics pool the sweep's winning fits.  ``fork``
-    lets the sweeps share their fold fits with a helper process."""
+    task; its out-of-fold metrics pool the sweep's winning fits."""
     folds = make_interleaved_folds(train, config.fold_count, config.seed,
                                    positional=config.folds_positional)
     sweep, leaderboard = select_best_model(candidates, train, folds,
-                                           config.grids, seed=config.seed, fork=fork)
+                                           config.grids, seed=config.seed)
     trail.append({
         "stage": f"decision2:{name}",
         "inputs": {"candidates": list(candidates),
@@ -338,7 +336,7 @@ def _run_task(name: str, train: Dataset, candidates, config: FlowConfig,
                     "cv_accuracy": sweep.cv_accuracy},
     })
     rankings = compute_rankings(train, config)
-    dim = dimensionality_sweep(sweep.best_spec, train, folds, rankings, fork=fork)
+    dim = dimensionality_sweep(sweep.best_spec, train, folds, rankings)
     trail.append({
         "stage": f"dimensionality:{name}",
         "inputs": {"methods": [r.method for r in rankings]},
@@ -430,23 +428,16 @@ def decision_hierarchy(flat_metrics: EvalMetrics, baseline: float,
     return "multiclass_flat", detail
 
 
-def physical_memory_bytes() -> int:
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-def _refuse_oversized(config: FlowConfig, route: str, n_train: int, n_classes: int) -> bool:
+def _refuse_oversized(config: FlowConfig, route: str, n_train: int, n_classes: int) -> None:
     """Refuse, before any fit, a run whose LS-SVM system or binned-ranker
-    tables would not fit in physical memory.  Each layer owns its estimate,
-    ``lssvm.peak_bytes`` and ``ranking.peak_bytes``.  The LS-SVM's is for the
-    final refit on the whole training split, which bounds every fold and
-    level fit; test rows are scored in chunks and do not enter it.
-
-    Return whether the sweeps may share their fold fits with a helper
-    process: true unless the run sweeps an LS-SVM family and two of its
-    systems, one per process, would not fit at once."""
+    tables would not fit in physical memory.  Each layer owns its estimate:
+    a family record's ``fit_bytes`` (``lssvm.peak_bytes`` for the LS-SVM
+    families, 0 for the others) and ``ranking.peak_bytes``.  The fit's is
+    for the final refit on the whole training split, which bounds every
+    fold and level fit; test rows are scored in chunks and do not enter it."""
     available = physical_memory_bytes()
-    kernel = _swept_families(config, route) & {"lssvm", "ova_svm"}
-    kernel_bytes = lssvm_peak_bytes(n_train) if kernel else 0
+    kernel_bytes = max((FAMILIES[f].fit_bytes(n_train) for f in _swept_families(config, route)),
+                       default=0)
     if kernel_bytes > available:
         raise DataError(
             f"the LS-SVM families need about {kernel_bytes / 2**30:.2f} GiB to fit "
@@ -459,7 +450,6 @@ def _refuse_oversized(config: FlowConfig, route: str, n_train: int, n_classes: i
             f"the binned rankers need about {estimate / 2**30:.2f} GiB for "
             f"{config.bin_count} bins, more than the {available / 2**30:.1f} GiB "
             "of physical memory; lower --bin-count or pass --rankers fisher")
-    return 2 * kernel_bytes <= available
 
 
 def _refuse_overflowing(data: Dataset) -> None:
@@ -483,7 +473,7 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
     trail: list[dict] = []
     split = stratified_split(data, config.train_fraction, config.seed)
     route = decision_route(data)
-    fork = _refuse_oversized(config, route, split.train.n_samples, data.n_classes)
+    _refuse_oversized(config, route, split.train.n_samples, data.n_classes)
     trail.append({
         "stage": "split",
         "inputs": {"train_fraction": config.train_fraction, "seed": config.seed},
@@ -512,10 +502,6 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
         config.hierarchy.validate_for(data.n_classes)
         tasks += [(f"hierarchy:{lv.name}", _binarize_level(split.train, lv),
                    _binarize_level(split.test, lv)) for lv in config.hierarchy.levels]
-    for name, train, _ in tasks[1:]:
-        if config.fold_count > train.n_samples:
-            raise DataError(f"hierarchy level {name.removeprefix('hierarchy:')!r}: fold_count "
-                            f"{config.fold_count} exceeds {train.n_samples} training rows")
     for name, train, _ in tasks:
         if train.n_samples < 2 * config.fold_count:
             raise DataError(f"task {name!r} has {train.n_samples} training rows; "
@@ -531,14 +517,14 @@ def run_flow(data: Dataset, config: FlowConfig) -> FlowReport:
     if ungridded := sorted(_swept_families(config, route) - config.grids.keys()):
         raise DataError(f"no grid for the swept families {ungridded}")
 
-    report.flat = _run_task(flat_name, split.train, flat_families, config, trail, fork)
+    report.flat = _run_task(flat_name, split.train, flat_families, config, trail)
     if route != "binary":
         report.baseline = randomized_recall(split.train.class_counts())
         flat_value = _decision3_value(report.flat.cv_metrics, config.decision3_metric)
         if flat_value < report.baseline and config.hierarchy is not None:
             # Each level trains on its ground-truth subset; predictions never
             # cascade between levels.
-            report.levels = [_run_task(name, train, level_families, config, trail, fork)
+            report.levels = [_run_task(name, train, level_families, config, trail)
                              for name, train, _ in tasks[1:]]
             report.combined_cv = combine_level_metrics([t.cv_metrics for t in report.levels])
         report.route, detail = decision_hierarchy(report.flat.cv_metrics, report.baseline,

@@ -7,19 +7,21 @@ one-vs-all ova_logreg, ova_boosted_tree and ova_svm.  Every fitted model
 scores a dataset into an N x C matrix whose rows sum to 1.
 
 ``FAMILIES`` holds one record per family: its model class, hyperparameter
-schema, complexity rank and both sweep grids.  ``BINARY_FAMILIES`` and
-``MULTICLASS_FAMILIES`` give each route's default sweep and its order;
-``MULTICLASS_FAMILIES`` leaves out ova_logreg, which must be requested.
+schema, complexity rank, both sweep grids and, for the LS-SVM families, the
+memory bound of a fit.  ``BINARY_FAMILIES`` and ``MULTICLASS_FAMILIES`` give
+each route's default sweep and its order; ``MULTICLASS_FAMILIES`` leaves out
+ova_logreg, which must be requested.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from ..dataset import Dataset
 from .base import ModelError, ModelSpec, TrainedModel, document_field
 from .linear import LogisticRegressionModel, MultinomialLogregModel
-from .lssvm import LssvmModel
+from .lssvm import LssvmModel, peak_bytes
 from .boosting import BoostedTreeModel
 from .forest import DecisionForestModel
 from .neural import NeuralNetModel
@@ -50,6 +52,9 @@ class Family:
     thin_grid: dict[str, list]  # one mid point each, for large datasets
     binary_only: bool = False
     ova_base: str | None = None  # one-vs-all over this binary family
+    # Bytes a fit on n rows holds beside the rows, for a family whose fit
+    # can outgrow memory (the LS-SVM system); 0 for the others.
+    fit_bytes: Callable[[int], int] = lambda n_fit: 0
 
 
 _POSITIVE = (lambda v: v > 0, "> 0")
@@ -77,6 +82,7 @@ FAMILIES: dict[str, Family] = {
         grid={"lambda": [1e-6, 1e-4, 1e-2], "kernel_gamma_scale": [0.1, 1.0, 10.0]},
         thin_grid={"lambda": [1e-6], "kernel_gamma_scale": [1.0]},
         binary_only=True,
+        fit_bytes=peak_bytes,
     ),
     "neural_net": Family(
         NeuralNetModel,

@@ -17,6 +17,7 @@ __all__ = [
     "decode_array",
     "document_field",
     "logistic_loss",
+    "physical_memory_bytes",
     "row_max",
     "second_core_free",
     "softmax_rows",
@@ -143,6 +144,10 @@ def second_core_free() -> bool:
     blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return blas == "1" and (cpus or 1) >= 2
+
+
+def physical_memory_bytes() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def row_max(Z: np.ndarray) -> np.ndarray:

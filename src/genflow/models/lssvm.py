@@ -22,9 +22,10 @@ BLOCK x BLOCK scratch per lane.  When a second core is free
 calling thread and one helper, with the bits of one lane.  Scoring m rows
 computes the kernel over ``ROW_BLOCK``-row chunks through one slab of at
 most ROW_BLOCK + 1 rows of n, so no m x n kernel is ever whole.
-``peak_bytes`` is the estimate; ``run_flow`` refuses a job whose estimate
-exceeds physical memory (CLI exit 2), and lets the sweeps' fold helper
-process run only when two such systems fit at once.
+``peak_bytes`` is the estimate, the LS-SVM families' ``fit_bytes``;
+``run_flow`` refuses a job whose estimate exceeds physical memory (CLI
+exit 2), and an LS-SVM sweep shares its fits with the fold helper process
+only when two such systems fit at once.
 """
 
 from __future__ import annotations

@@ -14,12 +14,14 @@ places, then simpler family, then exact accuracy, then the earlier family.
 A top-k prefix shared by several rankings is cross-validated once; the
 curves stay per method.
 
-Fold jobs: each sweep submits all of its (grid point or new prefix, fold)
-fits as one batch to ``_run_jobs``.  When a second core is free (the rule
-the LS-SVM factor lanes follow, ``second_core_free``), one forked helper
-process takes jobs from the same queue as the caller.  Values are gathered
-by job number, so tables, curves and out-of-fold labels have the bits of
-the serial loop, and a point's note is that of its first failing fold.
+Fold jobs: each sweep hands all of its (grid point or new prefix, fold)
+fits to ``_fold_values`` as one batch.  When a second core is free (the
+rule the LS-SVM factor lanes follow, ``second_core_free``) and two fits of
+the batch's family fit in physical memory at once (its record's
+``fit_bytes``), one forked helper process takes jobs from the same queue as
+the caller.  Values are gathered by job number, so tables, curves and
+out-of-fold labels have the bits of the serial loop, and a point's note is
+that of its first failing fold.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from .dataset import Dataset, DataError
 from .models import FAMILIES, ModelError, ModelSpec, fit_model
-from .models.base import second_core_free
+from .models.base import physical_memory_bytes, second_core_free
 from .models.ova import refuse_missing_class
 from .ranking import RankedFeatures, project_top_k
 
@@ -117,9 +119,7 @@ def cross_validate(spec: ModelSpec, train: Dataset, folds: FoldPlan
                    ) -> tuple[list[float], np.ndarray]:
     """Per-fold held-out accuracies and the pooled out-of-fold labels
     (argmax, so threshold 0.5 for binary tasks): one spec's fold jobs."""
-    splits = list(folds.folds())
-    values = _run_jobs([partial(_fold_fit, spec, train, *s) for s in splits])
-    return _pooled(values, train.n_samples, splits)
+    return _pooled(_fold_values([(spec, None)], train, folds)[0], folds)
 
 
 def cv_accuracy(spec: ModelSpec, train: Dataset, folds: FoldPlan
@@ -135,13 +135,21 @@ def cv_accuracy(spec: ModelSpec, train: Dataset, folds: FoldPlan
 _FIT_FAILURES = (ModelError, DataError, np.linalg.LinAlgError, FloatingPointError)
 
 
-def _refuse_one_row_folds(folds: FoldPlan) -> None:
-    """A one-row validation fold cannot be scored as a Dataset, so every
-    fit of a sweep over it would fail: refuse the plan before any fit."""
-    for k, (_, val_rows) in enumerate(folds.folds()):
+def _fold_values(cases: list, train: Dataset, folds: FoldPlan) -> list[list]:
+    """Each ``(spec, view)`` case's ``_fold_fit`` values on ``train``, in
+    fold order, from one ``_run_jobs`` batch bounded by its families'
+    ``fit_bytes``.  A one-row validation fold cannot be scored as a
+    Dataset, so a plan with one is refused before any fit."""
+    splits = list(folds.folds())
+    for k, (_, val_rows) in enumerate(splits):
         if len(val_rows) < 2:
             raise DataError(f"validation fold {k} holds one row, {val_rows.tolist()}; "
                             "every fold needs at least 2 rows")
+    fit_bytes = max((FAMILIES[spec.family].fit_bytes(train.n_samples) for spec, _ in cases),
+                    default=0)
+    values = _run_jobs([partial(_fold_fit, spec, view, train, *s)
+                        for spec, view in cases for s in splits], fit_bytes)
+    return [values[i:i + len(splits)] for i in range(0, len(values), len(splits))]
 
 
 # Job numbers are 4 bytes; a pipe holds at least one 4096-byte page, so a
@@ -163,17 +171,18 @@ def _take(queue: int) -> int | None:
     return int.from_bytes(word, "little") if word else None
 
 
-def _run_jobs(jobs: list, fork: bool = True) -> list:
+def _run_jobs(jobs: list, fit_bytes: int = 0) -> list:
     """Each job's ``_value``, in job order.
 
-    The jobs run in this process alone unless ``fork`` is true, a second
-    core is free (``second_core_free``, the rule of the LS-SVM lanes) and
-    this process runs one thread, so that forking it is safe.  Then each
+    The jobs run in this process alone unless a second core is free
+    (``second_core_free``, the rule of the LS-SVM lanes), this process runs
+    one thread, so that forking it is safe, and two fits that each hold
+    ``fit_bytes``, one per process, fit in physical memory.  Then each
     batch of at least two jobs is shared with one forked helper process
     (``_share_with_helper``).  The values do not depend on which process
     ran a job."""
-    if not (fork and hasattr(os, "fork") and second_core_free()
-            and threading.active_count() == 1):
+    if not (hasattr(os, "fork") and second_core_free() and threading.active_count() == 1
+            and 2 * fit_bytes <= physical_memory_bytes()):
         return [_value(job) for job in jobs]
     return [value for start in range(0, len(jobs), _QUEUE_JOBS)
             for value in _share_with_helper(jobs[start:start + _QUEUE_JOBS])]
@@ -256,33 +265,36 @@ def _helper(jobs: list, queue: int, out: int, parent: int) -> None:
         os._exit(code)
 
 
-def _fold_fit(spec: ModelSpec, data: Dataset, fit_rows: np.ndarray,
+def _fold_fit(spec: ModelSpec, view, data: Dataset, fit_rows: np.ndarray,
               val_rows: np.ndarray) -> tuple[float, np.ndarray]:
-    """Fit ``spec`` on the fit rows of one fold: the held-out accuracy and
-    labels (argmax, so threshold 0.5 for binary tasks)."""
+    """Fit ``spec`` on one fold's fit rows of ``view(data)``, made in the
+    job so no batch holds every view (``data`` if ``view`` is None): the
+    held-out accuracy and labels (argmax, so threshold 0.5 if binary)."""
+    if view is not None:
+        data = view(data)
     model = fit_model(spec, data.restrict_rows(fit_rows))
     pred = model.predict_labels(data.restrict_rows(val_rows))
     return float(np.mean(pred == data.labels[val_rows])), pred
 
 
-def _pooled(values: list, n_samples: int, splits: list) -> tuple[list[float], np.ndarray]:
+def _pooled(values: list, folds: FoldPlan) -> tuple[list[float], np.ndarray]:
     """One case's per-fold accuracies and pooled out-of-fold labels from
     its fold values; the first failure in fold order is raised."""
-    pred = np.empty(n_samples, dtype=int)
+    pred = np.empty(len(folds.assignments), dtype=int)
     accs = []
-    for value, (_, val_rows) in zip(values, splits):
+    for k, value in enumerate(values):
         if isinstance(value, BaseException):
             raise value
         accs.append(value[0])
-        pred[val_rows] = value[1]
+        pred[folds.assignments == k] = value[1]
     return accs, pred
 
 
-def _missing_class(family: str, train: Dataset, splits: list) -> DataError | None:
+def _missing_class(family: str, train: Dataset, folds: FoldPlan) -> DataError | None:
     """For a one-vs-all family, the failure of the first fold whose fit
     rows lack a class, found without a fit; None if every fold has all."""
     if FAMILIES[family].ova_base is not None:
-        for fit_rows, _ in splits:
+        for fit_rows, _ in folds.folds():
             try:
                 refuse_missing_class(np.bincount(train.labels[fit_rows],
                                                  minlength=train.n_classes))
@@ -292,29 +304,23 @@ def _missing_class(family: str, train: Dataset, splits: list) -> DataError | Non
 
 
 def sweep_parameters(family: str, grid: dict[str, list], train: Dataset,
-                     folds: FoldPlan, seed: int = 0, fork: bool = True) -> SweepResult:
+                     folds: FoldPlan, seed: int = 0) -> SweepResult:
     """Exhaustive Cartesian sweep; best point by mean validation accuracy.
 
-    Every (grid point, fold) fit is one job of one batch (``_run_jobs``;
-    ``fork=False`` keeps them in this process).  A point whose fold fails
-    scores 0 with the note of its first failing fold; a one-vs-all family
-    with a fold that lacks a class fits nothing."""
+    Every (grid point, fold) fit is one job of one batch (``_fold_values``).
+    A point whose fold fails scores 0 with the note of its first failing
+    fold; a one-vs-all family with a fold that lacks a class fits nothing."""
     if not grid or any(len(values) == 0 for values in grid.values()):
         raise DataError("empty hyperparameter grid")
-    _refuse_one_row_folds(folds)
-    splits = list(folds.folds())
     points = [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
     specs = [_resolve_spec(family, point, train.n_features, seed) for point in points]
-    doomed = _missing_class(family, train, splits)
-    values = [] if doomed else _run_jobs(
-        [partial(_fold_fit, spec, train, *s) for spec in specs for s in splits], fork)
+    doomed = _missing_class(family, train, folds)
+    values = _fold_values([] if doomed else [(spec, None) for spec in specs], train, folds)
     table = []
     for p, point in enumerate(points):
-        folds_of_point = values[p * len(splits):(p + 1) * len(splits)]
-        failure = doomed or next(
-            (v for v in folds_of_point if isinstance(v, BaseException)), None)
+        failure = doomed or next((v for v in values[p] if isinstance(v, BaseException)), None)
         if failure is None:
-            fold_accs = [acc for acc, _ in folds_of_point]
+            fold_accs = [acc for acc, _ in values[p]]
             mean_acc, note = float(np.mean(fold_accs)), ""
         else:  # record the failure, keep sweeping
             mean_acc, fold_accs, note = 0.0, [], f"fit failed: {failure}"
@@ -330,34 +336,26 @@ def sweep_parameters(family: str, grid: dict[str, list], train: Dataset,
 
 
 def dimensionality_sweep(best_spec: ModelSpec, train: Dataset, folds: FoldPlan,
-                         rankings: list[RankedFeatures], fork: bool = True) -> DimSweepResult:
+                         rankings: list[RankedFeatures]) -> DimSweepResult:
     """Refit the selected spec on top-k subsets for k = 1..d per ranking.
 
     The best (method, k) maximizes mean CV accuracy, and its out-of-fold
     labels are kept.  A prefix seen for an earlier method reuses that
     accuracy and cannot win: the tie rule prefers the earlier method.
-    Every (new prefix, fold) fit is one job of one batch (``_run_jobs``;
-    ``fork=False`` keeps them in this process); a typed fit failure is
-    raised, the first in prefix then fold order.
+    Every (new prefix, fold) fit is one job of one batch (``_fold_values``);
+    a typed fit failure is raised, the first in prefix then fold order.
     """
-    _refuse_one_row_folds(folds)
     d = train.n_features
-    splits = list(folds.folds())
     firsts: dict[tuple[int, ...], tuple[int, int]] = {}  # prefix -> (k, method position)
     for pos, ranking in enumerate(rankings):
         for k in range(1, d + 1):
             firsts.setdefault(tuple(ranking.order[:k].tolist()), (k, pos))
-
-    def fold_fit(ranking, k, fit_rows, val_rows):  # projects in the job, not all at once
-        return _fold_fit(best_spec, project_top_k(train, ranking, k), fit_rows, val_rows)
-
-    values = _run_jobs([partial(fold_fit, rankings[pos], k, *s)
-                        for k, pos in firsts.values() for s in splits], fork)
+    values = _fold_values([(best_spec, partial(project_top_k, ranking=rankings[pos], k=k))
+                           for k, pos in firsts.values()], train, folds)
     prefix_acc: dict[tuple[int, ...], float] = {}
     points = []  # (acc, k, method position, out-of-fold labels), one per prefix
-    for j, (cols, (k, pos)) in enumerate(firsts.items()):
-        accs, pred = _pooled(values[j * len(splits):(j + 1) * len(splits)],
-                             train.n_samples, splits)
+    for fold_values, (cols, (k, pos)) in zip(values, firsts.items()):
+        accs, pred = _pooled(fold_values, folds)
         prefix_acc[cols] = float(np.mean(accs))
         points.append((prefix_acc[cols], k, pos, pred))
     curves: dict[str, list[float]] = {}

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,18 @@ def group_hierarchy():
         HierarchyLevel("level4", (2,), (1,)),
         HierarchyLevel("level5", (4,), (5,)),
     ))
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """After each test, this process has no child left: every fold helper
+    was reaped, whether the test passed or raised."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)  # 0: a child is still running
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process ({pid or 'still running'})")
 
 
 @pytest.fixture

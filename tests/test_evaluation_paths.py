@@ -193,7 +193,8 @@ class TestFoldCount:
     def test_fold_count_above_a_level_refused_before_any_fit(self, monkeypatch):
         # Class B has one training row, so level4 (C vs B) trains on 20 rows.
         forbid_fits(monkeypatch)
-        with pytest.raises(DataError, match="'level4'.*fold_count 25 exceeds 20 "):
+        with pytest.raises(DataError, match="'hierarchy:level4' has 20 training rows; "
+                                            "fold_count 25 needs at least 50"):
             run_flow(make_imbalanced6(seed=0), hier_config(fold_count=25))
 
     # fold_count <= n < 2 fold_count rows leave a one-row validation fold,

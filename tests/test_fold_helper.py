@@ -1,7 +1,8 @@
 """The sweeps' fold jobs on one forked helper process: with the helper
 forced on and off, sweep tables, curves and out-of-fold labels are
 hex-equal; each job runs once across the two processes; failures come back
-typed; and no child process outlives a call."""
+typed; and no child process outlives a call (``tests/conftest.py`` checks
+that after every test)."""
 
 import hashlib
 import json
@@ -56,11 +57,6 @@ def helper(mp, on: bool) -> list:
     return forks
 
 
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def exact(obj):
     """``obj`` with every float as its hex string and arrays as bytes."""
     if isinstance(obj, float):
@@ -113,7 +109,6 @@ class TestSameBitsEitherWay:
                          exact(dim.curves), dim.best_method, dim.best_k,
                          exact(dim.oof_labels)])
         assert runs[0] == runs[1]
-        assert_no_children()
 
     def test_report_bodies_are_equal(self):
         data = make_imbalanced6(n=1200, seed=0)
@@ -126,7 +121,6 @@ class TestSameBitsEitherWay:
             bodies.append(json.dumps(report_body(report), sort_keys=True))
         assert report.route == "multiclass_hierarchical"
         assert bodies[0] == bodies[1]
-        assert_no_children()
 
 
 def job_log(mp, path: Path, delay: float = 0.0):
@@ -162,7 +156,6 @@ class TestJobsRunOnce:
         assert sorted(job for _, job in shared) == sorted(job for _, job in serial)
         assert {pid for pid, _ in serial} == {str(os.getpid())}
         assert len({pid for pid, _ in shared}) == 2  # both processes took jobs
-        assert_no_children()
 
 
 class TestFailures:
@@ -187,7 +180,6 @@ class TestFailures:
         for row in failed:
             assert row["note"] == f"fit failed: refused {row['point']['l2']}"
             assert row["mean_accuracy"] == 0.0 and row["fold_accuracies"] == []
-        assert_no_children()
 
     def test_first_failing_fold_in_fold_order_gives_the_note(self):
         data = make_binary(n=120, d=3, seed=5)
@@ -216,7 +208,6 @@ class TestFailures:
             helper(mp, True)
             mp.setattr(selection, "fit_model", fails_after_fold_1)
             cross_validate(ModelSpec("logreg"), data, folds)
-        assert_no_children()
 
     def test_programming_error_in_the_helper_exits_3(self, tmp_path, monkeypatch, capsys):
         parent = os.getpid()
@@ -236,7 +227,6 @@ class TestFailures:
         assert code == 3
         err = capsys.readouterr().err
         assert "KeyError: 'helper-side bug'" in err and "raised in the fold helper" in err
-        assert_no_children()
 
     def test_helper_that_dies_names_its_exit_status(self, monkeypatch):
         data = make_binary(n=120, d=3, seed=5)
@@ -254,7 +244,6 @@ class TestFailures:
         monkeypatch.setattr(selection, "fit_model", dies_in_helper)
         with pytest.raises(RuntimeError, match="exit status 7"):
             sweep_parameters("logreg", {"l2": [1e-6, 1.0]}, data, folds)
-        assert_no_children()
 
     def test_interrupt_kills_and_reaps_the_helper(self, monkeypatch):
         data = make_binary(n=120, d=3, seed=5)
@@ -278,7 +267,6 @@ class TestFailures:
         with pytest.raises(KeyboardInterrupt):
             sweep_parameters("logreg", {"l2": [1e-6, 1.0]}, data, folds)
         assert time.monotonic() - started < 30
-        assert_no_children()
 
 
 class TestWhenItForks:
@@ -297,11 +285,41 @@ class TestWhenItForks:
         for memory, forked in ((2 * peak_bytes(n_train) - 1, False),
                                (2 * peak_bytes(n_train), True)):
             forks.clear()
-            monkeypatch.setattr(flow, "physical_memory_bytes", lambda: memory)
+            monkeypatch.setattr(selection, "physical_memory_bytes", lambda: memory)
             report = run_flow(data, config)  # accepted either way
             assert report.flat.sweep.best_spec.family == "lssvm"
             assert bool(forks) == forked
-        assert_no_children()
+
+    def test_the_memory_bound_is_read_per_batch(self, monkeypatch, tmp_path):
+        """With physical memory for one LS-SVM system of the training split
+        but not two, the lssvm batches stay in this process and the logreg
+        batches of the same run still share the helper."""
+        data = make_binary(n=120, d=3, seed=5)
+        config = fast_config(candidate_families=("lssvm", "logreg"), grids={
+            "lssvm": {"lambda": [1e-6], "kernel_gamma_scale": [1.0]},
+            "logreg": {"l2": [1e-6, 1e-3, 1.0]}})
+        peak = peak_bytes(stratified_split(data, config.train_fraction,
+                                           config.seed).train.n_samples)
+        real, page = os.sysconf, os.sysconf("SC_PAGE_SIZE")
+        pages = 3 * peak // 2 // page
+        assert peak < pages * page < 2 * peak
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: pages if name == "SC_PHYS_PAGES" else real(name))
+        bodies, logs = [], {}
+        for on in (False, True):
+            logs[on] = tmp_path / f"jobs-{on}.log"
+            with pytest.MonkeyPatch.context() as mp:
+                helper(mp, on)
+                job_log(mp, logs[on], delay=0.02)
+                report = run_flow(data, config)
+            bodies.append(json.dumps(report_body(report), sort_keys=True))
+        pids = {}
+        for line in logs[True].read_text().splitlines():
+            pid, family, _ = line.split(" ", 2)
+            pids.setdefault(family, set()).add(pid)
+        assert pids["lssvm"] == {str(os.getpid())}
+        assert len(pids["logreg"]) > 1  # this process and each batch's helper
+        assert bodies[0] == bodies[1]
 
 
 class TestOneVsAllCoverage:

@@ -123,7 +123,7 @@ class TestDecisionTwoTies:
                 [{"point": {}, "mean_accuracy": 0.0 if failed else acc,
                   "fold_accuracies": [], "note": "fit failed: x" if failed else ""}])
 
-        def fake_sweep(name, grid, train, folds, seed=0, fork=True):
+        def fake_sweep(name, grid, train, folds, seed=0):
             return by_family[name]
 
         results = []
